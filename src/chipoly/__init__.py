@@ -9,7 +9,6 @@ from .eulerchi import (
     chi_twist_polynomial,
     evaluate_chi,
     prefactor_parts,
-    twist_chern_values,
     twisted_chern_polynomial,
 )
 from .oracle import (
@@ -55,7 +54,6 @@ __all__ = [
     "chi_twist_polynomial",
     "evaluate_chi",
     "prefactor_parts",
-    "twist_chern_values",
     "twisted_chern_polynomial",
     "Lcg",
     "SplitBundle",

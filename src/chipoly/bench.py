@@ -10,6 +10,7 @@ execute in a child process that can be killed cleanly.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import platform
 import statistics
@@ -140,6 +141,8 @@ def run_bench(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be a positive finite number of seconds, got {timeout}")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")

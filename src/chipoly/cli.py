@@ -21,7 +21,7 @@ from .eulerchi import (
     evaluate_chi,
     prefactor_parts,
 )
-from .oracle import verify
+from .oracle import MAX_A, verify
 from .stirling import StirlingTable
 from .symmfun import power_sum_matrix, power_sum_recursive
 
@@ -206,6 +206,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_a > MAX_A:
+        args.parser.error(f"argument --max-a: expected at most {MAX_A}, got {args.max_a}")
     report = verify(
         args.dim, args.rank, args.trials, args.max_a, args.seed, args.twist_range
     )
@@ -221,6 +223,8 @@ def _cmd_bench(args) -> int:
                 f"argument --methods: unknown method {m!r}, expected "
                 f"{', '.join(METHODS)}"
             )
+    if args.timeout is not None and not 0 < args.timeout < math.inf:
+        args.parser.error(f"argument --timeout: expected a positive number, got {args.timeout}")
     report = run_bench(
         args.dim,
         methods=methods,

@@ -4,18 +4,17 @@ For a coherent sheaf F of rank n on projective N-space with Chern classes
 c_1..c_N, the Euler characteristic is a universal polynomial evaluated at
 those classes:
 
-    chi(F) = (1/N!) * sum_{k=1}^{N} [N+1, k+1] * B_k(C_1..C_k) + n
+    chi(F) = (1/N!) * sum_{k=0}^{N} [N+1, k+1] * B_k(C_1..C_k),    B_0 = n,
 
 where [.,.] are unsigned Stirling numbers of the first kind and B_k is
 the k-th power sum written in the elementary-symmetric variables C_i
-(which stand in for the Chern classes).  Twisting by O(t) replaces each
-C_i by
-
-    C_i(T) = sum_{j=0}^{i} binom(n-i+j, j) T^j C_{i-j},    C_0 = 1,
-
-so chi(F(t)) is the same bracket evaluated at the twisted classes, a
-polynomial in C_1..C_N and T.  Everything here is exact over Q; the rank
-may be a specific integer or left symbolic as the variable n.
+(which stand in for the Chern classes).  Twisting by O(t) shifts every
+Chern root by t, so B_k becomes sum_j binom(k, j) T^(k-j) B_j and chi(F(t))
+is the same sum over the same B_j with weights in T (see _assemble).  The
+paper's substitution C_i -> sum_j binom(n-i+j, j) T^j C_{i-j}, C_0 = 1, is
+kept as twisted_chern_polynomial, the independent check on that shift.
+Everything here is exact over Q; the rank may be a specific integer or
+left symbolic as the variable n.
 """
 
 from __future__ import annotations
@@ -48,6 +47,19 @@ def _rank_poly(rank) -> Polynomial:
     return Polynomial.constant(rank)
 
 
+def _assemble(rank, dim: int, sums: list, twist) -> Polynomial:
+    """(1/N!) * sum_j q_j * B_j over B_0 = rank and B_1..B_N = sums, where
+    q_j = sum_{k>=j} [N+1, k+1] binom(k, j) twist^(k-j).  twist = 0 makes
+    q_j the plain integer [N+1, j+1], so the untwisted build scales only.
+    """
+    total = Polynomial.zero()
+    for j, bj in enumerate([_rank_poly(rank)] + sums):
+        weight = sum(unsigned_stirling1(dim + 1, k + 1) * math.comb(k, j) * twist ** (k - j)
+                     for k in range(j, dim + 1))
+        total = total + weight * bj
+    return total / math.factorial(dim)
+
+
 def build_chi_polynomial(
     rank,
     dim: int,
@@ -63,14 +75,11 @@ def build_chi_polynomial(
     _check_rank(rank)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    total = Polynomial.zero()
-    for k in range(1, dim + 1):
-        if method == "matrix":
-            bk = power_sum_matrix(k)
-        else:
-            bk = power_sum_recursive(k, cache)
-        total = total + unsigned_stirling1(dim + 1, k + 1) * bk
-    return total / math.factorial(dim) + _rank_poly(rank)
+    if method == "matrix":
+        sums = [power_sum_matrix(k) for k in range(1, dim + 1)]
+    else:
+        sums = [power_sum_recursive(k, cache) for k in range(1, dim + 1)]
+    return _assemble(rank, dim, sums, 0)
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +102,10 @@ def _binomial_poly(top: Polynomial, j: int) -> Polynomial:
 
 
 def twisted_chern_polynomial(index: int, rank) -> Polynomial:
-    """C_index of the twist F(t) in terms of the untwisted classes and T."""
+    """C_index of the twist F(t) in terms of the untwisted classes and T.
+
+    The paper's substitution rule, kept as the check on chi_twist_polynomial.
+    """
     if not isinstance(index, int) or index < 1:
         raise ValueError(f"Chern index must be a positive integer, got {index!r}")
     _check_rank(rank)
@@ -110,12 +122,11 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def chi_twist_polynomial(rank, dim: int) -> Polynomial:
-    """The polynomial G with chi(F(t)) = G(c_1, ..., c_N, t)."""
+    """The polynomial G with chi(F(t)) = G(c_1, ..., c_N, t), cached per (rank, dim)."""
     _check_dim(dim)
     _check_rank(rank)
-    base = chi_polynomial(rank, dim)
-    bindings = {chern(i): twisted_chern_polynomial(i, rank) for i in range(1, dim + 1)}
-    return base.substitute(bindings)
+    sums = [power_sum_recursive(k) for k in range(1, dim + 1)]
+    return _assemble(rank, dim, sums, Polynomial.variable(TWIST))
 
 
 @dataclass(frozen=True)
@@ -139,26 +150,6 @@ class ChernVector:
             if not isinstance(c, int):
                 raise ValueError(f"Chern classes must be integers, got {c!r}")
         object.__setattr__(self, "classes", classes)
-
-
-def _int_binomial(m: int, j: int) -> int:
-    """binom(m, j) for any integer m (product of j consecutive integers / j!)."""
-    num = 1
-    for l in range(j):
-        num *= m - l
-    return num // math.factorial(j)
-
-
-def twist_chern_values(cv: ChernVector, t: int) -> ChernVector:
-    """Numerically twisted Chern vector of F(t); mirrors the symbolic rule."""
-    classes = (1,) + cv.classes
-    twisted = []
-    for i in range(1, cv.dim + 1):
-        acc = 0
-        for j in range(i + 1):
-            acc += _int_binomial(cv.rank - i + j, j) * t**j * classes[i - j]
-        twisted.append(acc)
-    return ChernVector(cv.dim, cv.rank, tuple(twisted))
 
 
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:

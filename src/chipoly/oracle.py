@@ -17,16 +17,18 @@ triple reproduces the same trials on any platform or Python version.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .eulerchi import ChernVector, evaluate_chi
+from .stirling import h0_line_bundle
 from .symmfun import elementary_values
 
 _LCG_MULT = 1664525
 _LCG_INC = 1013904223
 _LCG_MASK = 0xFFFFFFFF
+# Largest verify max-a: Lcg.next_int draws from 16 bits, so bound <= 2^16.
+MAX_A = (1 << 16) - 1
 
 
 class Lcg:
@@ -75,23 +77,14 @@ class SplitBundle:
         return ChernVector(self.dim, self.rank, tuple(e))
 
 
-def _chi_line(dim: int, degree: int) -> int:
-    # chi of O(degree): product of dim consecutive integers over dim!,
-    # valid for any integer degree (negative ones included).
-    num = 1
-    for j in range(1, dim + 1):
-        num *= degree + j
-    return num // math.factorial(dim)
-
-
 def split_chi(bundle: SplitBundle) -> int:
     """chi of the split bundle, by counting sections summand by summand."""
-    return sum(_chi_line(bundle.dim, a) for a in bundle.twists)
+    return sum(h0_line_bundle(bundle.dim, a) for a in bundle.twists)
 
 
 def split_chi_twist(bundle: SplitBundle, t: int) -> int:
     """chi of the split bundle twisted by O(t)."""
-    return sum(_chi_line(bundle.dim, a + t) for a in bundle.twists)
+    return sum(h0_line_bundle(bundle.dim, a + t) for a in bundle.twists)
 
 
 @dataclass(frozen=True)
@@ -180,8 +173,8 @@ def verify(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if max_a < 0:
-        raise ValueError(f"max-a must be nonnegative, got {max_a}")
+    if max_a < 0 or max_a > MAX_A:
+        raise ValueError(f"max-a must be in 0..{MAX_A}, got {max_a}")
     if twist_range < 0:
         raise ValueError(f"twist-range must be nonnegative, got {twist_range}")
     report = VerifyReport(dim, rank, trials, max_a, seed, twist_range)

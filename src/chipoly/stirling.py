@@ -101,12 +101,13 @@ def falling_factorial_poly(n: int) -> Polynomial:
 
 
 def h0_line_bundle(dim: int, degree: int) -> int:
-    """Global sections of O(degree) on projective dim-space, for degree >= 0.
+    """chi(O(degree)) on projective dim-space, exact for any integer degree.
 
-    Computed as the rising factorial (degree+1)...(degree+dim) over dim!,
-    which is exact for any integer degree (the numerator is a product of
-    dim consecutive integers); for degree >= 0 it equals the usual
-    binomial count of monomials.
+    Computed as the rising factorial (degree+1)...(degree+dim) over dim!
+    (the numerator is a product of dim consecutive integers, so the
+    division is exact).  For degree >= 0 it is h^0, the usual binomial
+    count of monomials; for -dim <= degree <= -1 it is 0.  The split-bundle
+    oracle counts with it.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")

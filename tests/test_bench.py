@@ -69,3 +69,6 @@ def test_bench_validation():
         run_bench(3, repetitions=0)
     with pytest.raises(ValueError):
         run_bench(3, methods=("sideways",))
+    for timeout in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            run_bench(3, timeout=timeout)

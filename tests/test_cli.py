@@ -147,6 +147,11 @@ def test_usage_errors_exit_2(capsys):
         ["stirling", "--rows", "-1"],
         ["eval", "--rank", "2", "--dim", "2", "--chern", "1,a"],
         ["bench", "--dim", "3", "--methods", "matrix,bogus"],
+        ["verify", "--dim", "2", "--rank", "2", "--max-a", "70000"],
+        ["bench", "--dim", "3", "--timeout", "0"],
+        ["bench", "--dim", "3", "--timeout", "-1"],
+        ["bench", "--dim", "3", "--timeout", "nan"],
+        ["bench", "--dim", "3", "--timeout", "inf"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

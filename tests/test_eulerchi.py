@@ -11,7 +11,6 @@ from chipoly.eulerchi import (
     chi_twist_polynomial,
     evaluate_chi,
     prefactor_parts,
-    twist_chern_values,
     twisted_chern_polynomial,
 )
 
@@ -140,8 +139,22 @@ def test_chi_twist_top_coefficient():
 
 def test_twist_values_match_symbolic_substitution():
     cv = ChernVector(3, 4, (2, 5, 1))
+    point = {chern(i): c for i, c in enumerate(cv.classes, start=1)}
     for t in range(-4, 5):
-        assert evaluate_chi(cv, t) == evaluate_chi(twist_chern_values(cv, t))
+        point[TWIST] = t
+        twisted = []
+        for i in range(1, cv.dim + 1):
+            value = twisted_chern_polynomial(i, cv.rank).evaluate(point)
+            assert value.denominator == 1
+            twisted.append(int(value))
+        assert evaluate_chi(cv, t) == evaluate_chi(ChernVector(cv.dim, cv.rank, tuple(twisted)))
+
+
+@pytest.mark.parametrize("rank", [None, 1, 3])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_twist_shift_matches_chern_substitution(rank, dim):
+    bindings = {chern(i): twisted_chern_polynomial(i, rank) for i in range(1, dim + 1)}
+    assert chi_twist_polynomial(rank, dim) == chi_polynomial(rank, dim).substitute(bindings)
 
 
 def test_twist_forward_difference_is_rank():
