@@ -12,6 +12,14 @@ nonzero ``fractions.Fraction`` coefficients.
 All renderers (text, LaTeX, JSON) list terms in graded lexicographic
 order, highest total degree first and ties broken by the variable order
 above, so equal polynomials always print identically.
+
+Evaluation compiles an integer plan once per polynomial and caches it on
+the (immutable) polynomial: the common denominator, the occurring
+variables, each variable's highest exponent, and every term as an integer
+numerator over that denominator with the positions of its variable powers
+in a power table.  A point then costs one table of powers x^0..x^top per
+variable and one exact sum; int and Fraction values share that loop, and
+any other value is rejected.
 """
 
 from __future__ import annotations
@@ -129,7 +137,7 @@ def _term_key(mono: Monomial) -> tuple:
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_plan")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -139,7 +147,7 @@ class Polynomial:
                 if c != 0:
                     clean[mono] = c
         self._terms = clean
-        self._den = None
+        self._plan = None
 
     # -- construction -------------------------------------------------
 
@@ -336,45 +344,62 @@ class Polynomial:
 
     def common_denominator(self) -> int:
         """Least common multiple of the coefficient denominators (1 for 0)."""
-        if self._den is None:
-            den = 1
-            for c in self._terms.values():
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            self._den = den
-        return self._den
+        den = 1
+        for c in self._terms.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        return den
+
+    def _evaluation_plan(self) -> tuple:
+        """(den, variables, top exponents, terms), built once per polynomial.
+
+        Each term is (numerator scaled to the common denominator den,
+        indices of its variable powers in the power table).  The table
+        lists x^0..x^top for each variable x in turn, so the power x_s^e
+        sits at index e plus the sum of (top + 1) over the slots before s.
+        """
+        if self._plan is None:
+            den = self.common_denominator()
+            names = self.variables()
+            slot = {var: i for i, var in enumerate(names)}
+            tops = [0] * len(names)
+            for mono in self._terms:
+                for var, e in mono:
+                    s = slot[var]
+                    tops[s] = max(tops[s], e)
+            offsets = [0]
+            for top in tops:
+                offsets.append(offsets[-1] + top + 1)
+            terms = tuple(
+                (coeff.numerator * (den // coeff.denominator),
+                 tuple(offsets[slot[var]] + e for var, e in mono))
+                for mono, coeff in self._terms.items()
+            )
+            self._plan = (den, tuple(names), tuple(tops), terms)
+        return self._plan
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at a point binding every occurring variable."""
-        bound: dict[str, Scalar] = {}
-        ints_only = True
-        for var in {v for mono in self._terms for v, _ in mono}:
+        """Evaluate at a point binding every occurring variable to an int or Fraction."""
+        den, names, tops, terms = self._evaluation_plan()
+        powers = []
+        for var, top in zip(names, tops):
             if var not in point:
                 raise ValueError(f"no value for variable {var} in evaluation point")
-            v = point[var]
-            if isinstance(v, int):
-                bound[var] = v
-            else:
-                v = Fraction(v)
-                bound[var] = v
-                ints_only = False
-        if ints_only:
-            # Scale through by the common denominator and work in plain
-            # integers; this is the hot path for bulk verification.
-            den = self.common_denominator()
-            total = 0
-            for mono, coeff in self._terms.items():
-                t = coeff.numerator * (den // coeff.denominator)
-                for var, e in mono:
-                    t *= bound[var] ** e
-                total += t
-            return Fraction(total, den)
-        total_f = Fraction(0)
-        for mono, coeff in self._terms.items():
-            t = coeff
-            for var, e in mono:
-                t *= Fraction(bound[var]) ** e
-            total_f += t
-        return total_f
+            x = point[var]
+            if not isinstance(x, (int, Fraction)):
+                raise ValueError(f"value for variable {var} must be an int or Fraction, got {x!r}")
+            power = 1
+            powers.append(power)
+            for _ in range(top):
+                power *= x
+                powers.append(power)
+        # Integer points stay in plain integers until the final division;
+        # Fraction points run through the same loop.
+        total = 0
+        for t, indices in terms:
+            for i in indices:
+                t *= powers[i]
+            total += t
+        return Fraction(total, den)
 
     # -- rendering -------------------------------------------------------
 

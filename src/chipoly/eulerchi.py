@@ -29,6 +29,9 @@ from .stirling import unsigned_stirling1
 from .symmfun import PowerSumCache, power_sum_matrix, power_sum_recursive
 
 METHODS = ("matrix", "recursive")
+# Entries kept by each result cache below; a cached polynomial also holds
+# its evaluation plan, so the caches are bounded.
+CACHE_SIZE = 64
 
 
 def _check_dim(dim: int) -> None:
@@ -82,13 +85,13 @@ def build_chi_polynomial(
     return _assemble(rank, dim, sums, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def chi_polynomial(rank, dim: int, method: str = "recursive") -> Polynomial:
     """The universal polynomial P with chi(F) = P(c_1, ..., c_N).
 
     rank is an integer or None for the symbolic rank variable n; dim is
     the N of projective N-space.  Results are cached per (rank, dim,
-    method).
+    method), up to CACHE_SIZE of them.
     """
     return build_chi_polynomial(rank, dim, method)
 
@@ -120,9 +123,12 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def chi_twist_polynomial(rank, dim: int) -> Polynomial:
-    """The polynomial G with chi(F(t)) = G(c_1, ..., c_N, t), cached per (rank, dim)."""
+    """The polynomial G with chi(F(t)) = G(c_1, ..., c_N, t).
+
+    Cached per (rank, dim), up to CACHE_SIZE of them.
+    """
     _check_dim(dim)
     _check_rank(rank)
     sums = [power_sum_recursive(k) for k in range(1, dim + 1)]
@@ -152,9 +158,14 @@ class ChernVector:
         object.__setattr__(self, "classes", classes)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _chern_names(dim: int) -> tuple:
+    return tuple(chern(i) for i in range(1, dim + 1))
+
+
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
     """Exact chi(F) (or chi(F(twist))) at a concrete Chern vector."""
-    point = {chern(i): cv.classes[i - 1] for i in range(1, cv.dim + 1)}
+    point = dict(zip(_chern_names(cv.dim), cv.classes))
     if twist is None:
         poly = chi_polynomial(cv.rank, cv.dim)
     else:

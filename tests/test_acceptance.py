@@ -8,6 +8,8 @@ asserted with wall-clock measurements taken around the relevant work.
 import math
 import time
 
+import pytest
+
 from chipoly.algebra import AUX, RANK, Polynomial, chern
 from chipoly.bench import run_bench
 from chipoly.eulerchi import (
@@ -174,6 +176,7 @@ def test_criterion_5_split_bundle_oracle():
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
 
 
+@pytest.mark.slow
 def test_criterion_6_method_agreement():
     for r in range(1, 13):
         assert power_sum_matrix(r) == power_sum_recursive(r), f"r={r}"
@@ -215,6 +218,7 @@ def test_criterion_8a_recursive_dim20():
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
 
 
+@pytest.mark.slow
 def test_criterion_8b_bench_dim14():
     report = run_bench(14, repetitions=3)
     by_name = {t.method: t for t in report.timings}

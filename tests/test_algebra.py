@@ -109,6 +109,21 @@ def test_eval_unbound_variable_is_named():
     p = C1 + C2
     with pytest.raises(ValueError, match="C2"):
         p.evaluate({"C1": 1})
+    # The same after the evaluation plan has been built and cached.
+    assert p.evaluate({"C1": 1, "C2": 2}) == 3
+    with pytest.raises(ValueError, match="C2"):
+        p.evaluate({"C1": 1})
+    with pytest.raises(ValueError, match="C1"):
+        p.evaluate({"C2": 1})
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", None, 1j])
+def test_eval_rejects_inexact_values(bad):
+    p = C1**2 + C2
+    with pytest.raises(ValueError, match="C1"):
+        p.evaluate({"C1": bad, "C2": 1})
+    with pytest.raises(ValueError, match="C2"):
+        p.evaluate({"C1": 1, "C2": bad})
 
 
 def test_eval_rational_point():
@@ -118,6 +133,42 @@ def test_eval_rational_point():
 
 def test_eval_extra_bindings_are_fine():
     assert C1.evaluate({"C1": 4, "C2": 99, "T": 1}) == 4
+    assert C1.evaluate({"C1": 4, "C2": 0.5, "T": "x"}) == 4
+
+
+def test_eval_zero_and_constant():
+    zero = Polynomial.zero()
+    assert zero.evaluate({}) == 0
+    assert zero.evaluate({"C1": 3, "T": Fraction(1, 2)}) == 0
+    half = Polynomial.constant(Fraction(-1, 2))
+    for point in ({}, {"C1": 5}, {"C1": 5, "n": 2}):
+        value = half.evaluate(point)
+        assert value == Fraction(-1, 2)
+        assert isinstance(value, Fraction)
+
+
+def _reference_value(p, point):
+    """Term-by-term sum in Fractions, independent of the evaluation plan."""
+    total = Fraction(0)
+    for mono, coeff in p.terms():
+        t = coeff
+        for var, e in mono:
+            t *= Fraction(point[var]) ** e
+        total += t
+    return total
+
+
+def test_eval_plan_reused_across_points():
+    p = (Fraction(2, 3) * C1**3 * T - 5 * C2**2 + Fraction(1, 4) * C1 * C2 * T**2
+         - Polynomial.variable(RANK) + Fraction(7, 6))
+    values = [-3, -1, 0, 1, 2, 60000, Fraction(-2, 3), Fraction(5, 7)]
+    for a in values:
+        for b in values:
+            for t in (-4, 0, 3, Fraction(1, 2)):
+                point = {"C1": a, "C2": b, "T": t, RANK: 3}
+                value = p.evaluate(point)
+                assert isinstance(value, Fraction)
+                assert value == _reference_value(p, point), point
 
 
 def test_coefficient_lookup():
@@ -277,6 +328,8 @@ def test_serialize_parse_serialize_fixed_point(p):
        st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5))
 def test_int_evaluation_matches_fraction_path(p, a, b, c):
     point = {"C1": a, "C2": b, "T": c}
-    fancy = p.evaluate(point)
-    plain = p.evaluate({k: Fraction(v) for k, v in point.items()})
-    assert fancy == plain
+    expected = _reference_value(p, point)
+    assert p.evaluate(point) == expected
+    assert p.evaluate({k: Fraction(v) for k, v in point.items()}) == expected
+    halves = {k: Fraction(v, 2) for k, v in point.items()}
+    assert p.evaluate(halves) == _reference_value(p, halves)

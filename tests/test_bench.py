@@ -42,6 +42,7 @@ def test_bench_matrix_cutoff_skip():
     assert report.agreement is None
 
 
+@pytest.mark.slow
 def test_bench_timeout_kills_matrix():
     # matrix at dim 12 needs seconds; recursive finishes well inside 1s
     report = run_bench(12, repetitions=1, timeout=1.0)

@@ -57,6 +57,7 @@ def test_numeric_rank_matches_substitution():
         assert chi_polynomial(rank, 3) == symbolic.substitute({RANK: rank})
 
 
+@pytest.mark.slow
 def test_methods_agree_moderate():
     for dim in range(1, 9):
         assert build_chi_polynomial(None, dim, "matrix") == build_chi_polynomial(

@@ -47,6 +47,7 @@ def test_power_sum_golden():
     )
 
 
+@pytest.mark.slow
 def test_methods_agree():
     for r in range(1, 13):
         assert power_sum_matrix(r) == power_sum_recursive(r), r
