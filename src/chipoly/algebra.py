@@ -7,11 +7,15 @@ polynomials, and the symbolic rank ``n``.  A monomial is a tuple of
 ``(variable, exponent)`` pairs with positive exponents, sorted by the
 fixed variable order ``C1 < C2 < ... < T < X < n``; the empty tuple is
 the constant monomial.  A polynomial is a finite map from monomials to
-nonzero ``fractions.Fraction`` coefficients.
+nonzero ``fractions.Fraction`` coefficients; the constructors take int or
+Fraction coefficients only and reject anything else (a float, say).
 
 All renderers (text, LaTeX, JSON) list terms in graded lexicographic
 order, highest total degree first and ties broken by the variable order
-above, so equal polynomials always print identically.
+above, so equal polynomials always print identically.  Text and LaTeX
+share one term loop, which places signs, drops unit coefficients and
+writes constants; the two formats differ only in their tokens: how a
+variable power and a coefficient are written and what joins the factors.
 
 Evaluation compiles an integer plan once per polynomial and caches it on
 the (immutable) polynomial: the common denominator, the occurring
@@ -28,6 +32,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 TWIST = "T"
@@ -123,6 +128,15 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
+def _exact(coeff) -> Fraction:
+    """A coefficient as a Fraction; only int and Fraction values are exact."""
+    if isinstance(coeff, Fraction):
+        return coeff
+    if isinstance(coeff, int):
+        return Fraction(coeff)
+    raise ValueError(f"coefficient must be an int or Fraction, got {coeff!r}")
+
+
 def _term_key(mono: Monomial) -> tuple:
     # Graded lex, encoded so that ascending sort gives the canonical
     # descending-degree order: degree negated, then (rank, -exp) pairs.
@@ -134,6 +148,27 @@ def _term_key(mono: Monomial) -> tuple:
     return (-deg, tuple(flat))
 
 
+# Renderers write each (variable, exponent) pair of a monomial through one
+# of these memoised token functions; the pairs are few (variables times
+# exponents), so the caches stay small.
+@lru_cache(maxsize=4096)
+def _text_power(pair: tuple) -> str:
+    var, e = pair
+    return var if e == 1 else f"{var}^{e}"
+
+
+@lru_cache(maxsize=4096)
+def _latex_power(pair: tuple) -> str:
+    var, e = pair
+    m = _CHERN_RE.match(var)
+    name = f"C_{{{m.group(1)}}}" if m else var
+    return name if e == 1 else f"{name}^{{{e}}}"
+
+
+def _latex_magnitude(c: Fraction) -> str:
+    return str(c) if c.denominator == 1 else f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+
+
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
@@ -143,7 +178,7 @@ class Polynomial:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                c = coeff if isinstance(coeff, Fraction) else _exact(coeff)
                 if c != 0:
                     clean[mono] = c
         self._terms = clean
@@ -157,7 +192,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({(): Fraction(value)})
+        return cls({(): _exact(value)})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
@@ -171,7 +206,7 @@ class Polynomial:
         acc: dict[Monomial, Fraction] = {}
         for exps, coeff in items:
             mono = _normalize_monomial(exps)
-            acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
+            acc[mono] = acc.get(mono, Fraction(0)) + _exact(coeff)
         return cls(acc)
 
     # -- inspection ----------------------------------------------------
@@ -403,67 +438,38 @@ class Polynomial:
 
     # -- rendering -------------------------------------------------------
 
-    @staticmethod
-    def _mono_text(mono: Monomial) -> str:
-        parts = []
-        for var, e in mono:
-            parts.append(var if e == 1 else f"{var}^{e}")
-        return "*".join(parts)
+    def _render(self, power, magnitude, sep: str) -> str:
+        """Signed terms in canonical order, written in one format's tokens.
+
+        power((var, e)) writes one variable power, magnitude(c) a positive
+        coefficient, and sep joins a term's factors, coefficient included.
+        Signs, the omitted coefficient 1 and constant terms are handled
+        here, once for every format.
+        """
+        if not self._terms:
+            return "0"
+        chunks = []
+        for mono, coeff in self.terms():
+            neg = coeff < 0
+            mag = -coeff if neg else coeff
+            if not mono:
+                piece = magnitude(mag)
+            else:
+                piece = sep.join(map(power, mono))
+                if mag != 1:
+                    piece = magnitude(mag) + sep + piece
+            chunks.append(" - " + piece if neg else " + " + piece)
+        text = "".join(chunks)
+        # The leading term drops its joiner: " + a" -> "a", " - a" -> "-a".
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def to_text(self) -> str:
         """Human-readable form, canonical term order, e.g. "C1^2 - 2*C2"."""
-        if not self._terms:
-            return "0"
-        chunks = []
-        for i, (mono, coeff) in enumerate(self.terms()):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            body = self._mono_text(mono)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            if i == 0:
-                chunks.append(f"-{piece}" if neg else piece)
-            else:
-                chunks.append(f" - {piece}" if neg else f" + {piece}")
-        return "".join(chunks)
-
-    @staticmethod
-    def _var_latex(var: str) -> str:
-        m = _CHERN_RE.match(var)
-        if m:
-            return f"C_{{{m.group(1)}}}"
-        return var
+        return self._render(_text_power, str, "*")
 
     def to_latex(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for i, (mono, coeff) in enumerate(self.terms()):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            if mag.denominator == 1:
-                num = str(mag)
-            else:
-                num = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            body = " ".join(
-                self._var_latex(v) if e == 1 else f"{self._var_latex(v)}^{{{e}}}"
-                for v, e in mono
-            )
-            if not body:
-                piece = num
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{num} {body}"
-            if i == 0:
-                chunks.append(f"-{piece}" if neg else piece)
-            else:
-                chunks.append(f" - {piece}" if neg else f" + {piece}")
-        return "".join(chunks)
+        """LaTeX form, canonical term order, e.g. "C_{1}^{2} - 2 C_{2}"."""
+        return self._render(_latex_power, _latex_magnitude, " ")
 
     def to_json(self) -> str:
         """Serialize to the stable JSON form (see from_json)."""
@@ -488,8 +494,11 @@ class Polynomial:
         for entry in payload["terms"]:
             if not isinstance(entry, dict) or "coeff" not in entry or "exps" not in entry:
                 raise ValueError("each term needs 'coeff' and 'exps' fields")
+            coeff = entry["coeff"]
+            if not isinstance(coeff, (str, int)):
+                raise ValueError(f"coefficient must be a string or an integer, got {coeff!r}")
             mono = _normalize_monomial(entry["exps"])
-            acc[mono] = acc.get(mono, Fraction(0)) + Fraction(entry["coeff"])
+            acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
         return cls(acc)
 
     def __str__(self) -> str:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from operator import methodcaller
+from typing import NamedTuple
 
 from .algebra import TWIST, Polynomial
 from .bench import DEFAULT_MATRIX_CUTOFF, run_bench
@@ -26,40 +28,45 @@ from .stirling import StirlingTable
 from .symmfun import power_sum_matrix, power_sum_recursive
 
 
-def _positive_int(text: str) -> int:
+def _int_arg(expected: str, least: int, most=math.inf, symbolic: bool = False):
+    """argparse type: an integer in least..most, or 'n' (None) when symbolic."""
+
+    def parse(text: str):
+        if symbolic and text == "n":
+            return None
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if not least <= value <= most:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_arg("a positive integer", 1)
+_nonneg_int = _int_arg("a nonnegative integer", 0)
+_rank_arg = _int_arg("a positive integer or 'n'", 1, symbolic=True)
+
+
+def _methods_arg(text: str) -> tuple:
+    methods = tuple(m.strip() for m in text.split(","))
+    for m in methods:
+        if m not in METHODS:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {m!r}, expected {', '.join(METHODS)}"
+            )
+    return methods
+
+
+def _timeout_arg(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _rank_arg(text: str):
-    """Rank flag value: a positive integer, or the literal 'n' for symbolic."""
-    if text == "n":
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'n', got {text!r}"
-        )
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'n', got {text!r}"
-        )
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -94,74 +101,64 @@ def format_stirling_rows(rows) -> str:
     return "\n".join(lines)
 
 
-def _twist_grouped_text(bracket: Polynomial) -> str:
+class _ChiStyle(NamedTuple):
+    """The tokens one output format writes a chi polynomial with."""
+
+    render: methodcaller  # writes a Polynomial: calls its to_text or to_latex
+    open: str  # parentheses around a group of several terms
+    close: str
+    group_t: str  # between a parenthesised group and its T power
+    term_t: str  # between a single-term group and its T power
+    frame: str  # the 1/N! frame, formatted with N! and the bracket
+
+
+_TEXT = _ChiStyle(methodcaller("to_text"), "(", ")", "*", "*", "1/{} * [{}]")
+_LATEX = _ChiStyle(
+    methodcaller("to_latex"), "\\left(", "\\right)", " ", " \\, ",
+    "\\frac{{1}}{{{}}} \\left[ {} \\right]",
+)
+
+
+def _twist_grouped(bracket: Polynomial, style: _ChiStyle) -> str:
+    """The bracket as a sum over powers of T, highest first."""
     groups = bracket.collect(TWIST)
     parts = []
     for k in sorted(groups, reverse=True):
         g = groups[k]
-        body = g.to_text()
-        if k == 0:
-            parts.append(f"({body})" if len(g) > 1 else body)
-            continue
-        tpow = "T" if k == 1 else f"T^{k}"
+        body = style.render(g)
         if len(g) > 1:
-            parts.append(f"({body})*{tpow}")
-        else:
-            parts.append(f"{body}*{tpow}")
+            body = style.open + body + style.close
+        if k:
+            tpow = style.render(Polynomial.variable(TWIST) ** k)
+            body += (style.group_t if len(g) > 1 else style.term_t) + tpow
+        parts.append(body)
     return " + ".join(parts)
 
 
-def _twist_grouped_latex(bracket: Polynomial) -> str:
-    groups = bracket.collect(TWIST)
-    parts = []
-    for k in sorted(groups, reverse=True):
-        g = groups[k]
-        body = g.to_latex()
-        if k == 0:
-            parts.append(f"\\left({body}\\right)" if len(g) > 1 else body)
-            continue
-        tpow = "T" if k == 1 else f"T^{{{k}}}"
-        if len(g) > 1:
-            parts.append(f"\\left({body}\\right) {tpow}")
-        else:
-            parts.append(f"{body} \\, {tpow}")
-    return " + ".join(parts)
+def _format_chi(poly: Polynomial, dim: int, twisted: bool, style: _ChiStyle) -> str:
+    bracket, tail = prefactor_parts(poly, dim)
+    inner = _twist_grouped(bracket, style) if twisted else style.render(bracket)
+    out = style.frame.format(math.factorial(dim), inner)
+    tail_text = style.render(tail)
+    if tail_text != "0":
+        out += f" + {tail_text}"
+    return out
 
 
 def format_chi_text(poly: Polynomial, dim: int, twisted: bool = False) -> str:
-    bracket, tail = prefactor_parts(poly, dim)
-    inner = _twist_grouped_text(bracket) if twisted else bracket.to_text()
-    out = f"1/{math.factorial(dim)} * [{inner}]"
-    tail_text = tail.to_text()
-    if tail_text != "0":
-        out += f" + {tail_text}"
-    return out
+    return _format_chi(poly, dim, twisted, _TEXT)
 
 
 def format_chi_latex(poly: Polynomial, dim: int, twisted: bool = False) -> str:
-    bracket, tail = prefactor_parts(poly, dim)
-    inner = _twist_grouped_latex(bracket) if twisted else bracket.to_latex()
-    out = f"\\frac{{1}}{{{math.factorial(dim)}}} \\left[ {inner} \\right]"
-    tail_text = tail.to_latex()
-    if tail_text != "0":
-        out += f" + {tail_text}"
-    return out
-
-
-def _emit_poly(poly: Polynomial, fmt: str) -> str:
-    if fmt == "latex":
-        return poly.to_latex()
-    if fmt == "json":
-        return poly.to_json()
-    return poly.to_text()
+    return _format_chi(poly, dim, twisted, _LATEX)
 
 
 def _emit_chi(poly: Polynomial, dim: int, fmt: str, twisted: bool) -> str:
     if fmt == "json":
         return poly.to_json()
-    if fmt == "latex":
-        return format_chi_latex(poly, dim, twisted)
-    return format_chi_text(poly, dim, twisted)
+    # Looked up at call time, so a wrapped formatter is the one called.
+    formatter = format_chi_latex if fmt == "latex" else format_chi_text
+    return formatter(poly, dim, twisted)
 
 
 def _cmd_stirling(args) -> int:
@@ -176,7 +173,7 @@ def _cmd_powersum(args) -> int:
         poly = power_sum_matrix(args.r)
     else:
         poly = power_sum_recursive(args.r)
-    print(_emit_poly(poly, args.format))
+    print(getattr(poly, f"to_{args.format}")())
     return 0
 
 
@@ -206,8 +203,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_a > MAX_A:
-        args.parser.error(f"argument --max-a: expected at most {MAX_A}, got {args.max_a}")
     report = verify(
         args.dim, args.rank, args.trials, args.max_a, args.seed, args.twist_range
     )
@@ -216,18 +211,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(","))
-    for m in methods:
-        if m not in METHODS:
-            args.parser.error(
-                f"argument --methods: unknown method {m!r}, expected "
-                f"{', '.join(METHODS)}"
-            )
-    if args.timeout is not None and not 0 < args.timeout < math.inf:
-        args.parser.error(f"argument --timeout: expected a positive number, got {args.timeout}")
     report = run_bench(
         args.dim,
-        methods=methods,
+        methods=args.methods,
         repetitions=args.repetitions,
         timeout=args.timeout,
         matrix_cutoff=args.matrix_cutoff,
@@ -282,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument("--max-a", type=_nonneg_int, default=4)
+    p.add_argument("--max-a", type=_int_arg(f"an integer in 0..{MAX_A}", 0, MAX_A), default=4)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--twist-range", type=_nonneg_int, default=4)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -290,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="time the two power-sum routes")
     p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--methods", default=",".join(METHODS),
+    p.add_argument("--methods", type=_methods_arg, default=METHODS,
                    help="comma-separated subset of matrix,recursive")
     p.add_argument("--repetitions", type=_positive_int, default=3)
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_timeout_arg, default=None,
                    help="per-run wall-clock limit in seconds")
     p.add_argument("--matrix-cutoff", type=_positive_int, default=DEFAULT_MATRIX_CUTOFF)
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -1,8 +1,9 @@
 """Splitting-principle cross-check for the chi polynomials.
 
 A direct sum of line bundles O(a_1) + ... + O(a_n) on projective N-space
-has Euler characteristic sum_i binom(a_i + N, N), and twisting by O(t)
-just shifts every a_i by t.  Neither fact goes through Stirling numbers,
+has Euler characteristic sum_i binom(a_i + N, N) (the binomial read as a
+polynomial in a_i, so any integer degree counts, negative ones included),
+and twisting by O(t) just shifts every a_i by t.  Neither fact goes through Stirling numbers,
 Newton's identities, or any symbolic algebra, so evaluating the chi
 polynomials at the elementary symmetric functions of the a_i and
 comparing against these counts is an independent end-to-end check of the
@@ -63,8 +64,8 @@ class SplitBundle:
         if not twists:
             raise ValueError("a split bundle needs at least one summand")
         for a in twists:
-            if not isinstance(a, int) or a < 0:
-                raise ValueError(f"summand degrees must be nonnegative integers, got {a!r}")
+            if not isinstance(a, int):
+                raise ValueError(f"summand degrees must be integers, got {a!r}")
         object.__setattr__(self, "twists", twists)
 
     @property
@@ -78,7 +79,7 @@ class SplitBundle:
 
 
 def split_chi(bundle: SplitBundle) -> int:
-    """chi of the split bundle, by counting sections summand by summand."""
+    """chi of the split bundle, summed over its line-bundle summands."""
     return sum(h0_line_bundle(bundle.dim, a) for a in bundle.twists)
 
 

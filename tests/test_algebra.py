@@ -126,6 +126,29 @@ def test_eval_rejects_inexact_values(bad):
         p.evaluate({"C1": 1, "C2": bad})
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", None, 1j])
+def test_construction_rejects_inexact_coefficients(bad):
+    with pytest.raises(ValueError, match="coefficient"):
+        Polynomial({(("C1", 1),): bad})
+    with pytest.raises(ValueError, match="coefficient"):
+        Polynomial.constant(bad)
+    with pytest.raises(ValueError, match="coefficient"):
+        Polynomial.from_terms([({"C1": 1}, bad)])
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, None, [1], {"num": 1}])
+def test_from_json_rejects_inexact_coefficients(bad):
+    text = json.dumps({"terms": [{"coeff": bad, "exps": {"C1": 1}}]})
+    with pytest.raises(ValueError, match="coefficient"):
+        Polynomial.from_json(text)
+
+
+def test_from_json_accepts_string_and_int_coefficients():
+    text = json.dumps({"terms": [{"coeff": "-1/3", "exps": {"C1": 1}},
+                                 {"coeff": 2, "exps": {}}]})
+    assert Polynomial.from_json(text) == C1 * Fraction(-1, 3) + 2
+
+
 def test_eval_rational_point():
     p = C1**2 + Fraction(1, 2)
     assert p.evaluate({"C1": Fraction(1, 3)}) == Fraction(11, 18)
@@ -223,6 +246,11 @@ def test_latex_rendering():
     p = Fraction(5, 6) * C1**2 * C2 - C2 + 1
     assert p.to_latex() == "\\frac{5}{6} C_{1}^{2} C_{2} - C_{2} + 1"
     assert T.to_latex() == "T"
+    q = (Fraction(-1, 2) * T**3 - C1 * C2 + Polynomial.variable("C12")
+         - Polynomial.variable(RANK) + Fraction(7, 3))
+    assert q.to_latex() == "-\\frac{1}{2} T^{3} - C_{1} C_{2} + C_{12} - n + \\frac{7}{3}"
+    assert Polynomial.constant(Fraction(-3, 4)).to_latex() == "-\\frac{3}{4}"
+    assert Polynomial.zero().to_latex() == "0"
 
 
 def test_canonical_order_ties_brokeby_variable():

@@ -73,6 +73,29 @@ def test_emit_chi_latex(capsys):
     assert out.strip() == "\\frac{1}{1} \\left[ C_{1} \\right] + n"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["emit-chi-twist", "--rank", "n", "--dim", "2", "--format", "latex"],
+     "\\frac{1}{2} \\left[ n \\, T^{2} + \\left(2 C_{1} + 3 n\\right) T"
+     " + \\left(C_{1}^{2} + 3 C_{1} - 2 C_{2}\\right) \\right] + n"),
+    (["emit-chi-twist", "--rank", "2", "--dim", "2", "--format", "latex"],
+     "\\frac{1}{2} \\left[ 2 \\, T^{2} + \\left(2 C_{1} + 6\\right) T"
+     " + \\left(C_{1}^{2} + 3 C_{1} - 2 C_{2}\\right) \\right] + 2"),
+    (["emit-chi-twist", "--rank", "1", "--dim", "1", "--format", "latex"],
+     "\\frac{1}{1} \\left[ 1 \\, T + C_{1} \\right] + 1"),
+    (["emit-chi", "--rank", "3", "--dim", "3", "--format", "latex"],
+     "\\frac{1}{6} \\left[ C_{1}^{3} + 6 C_{1}^{2} - 3 C_{1} C_{2} + 11 C_{1}"
+     " - 12 C_{2} + 3 C_{3} \\right] + 3"),
+    (["emit-chi-twist", "--rank", "n", "--dim", "2"],
+     "1/2 * [n*T^2 + (2*C1 + 3*n)*T + (C1^2 + 3*C1 - 2*C2)] + n"),
+    (["emit-chi-twist", "--rank", "2", "--dim", "2"],
+     "1/2 * [2*T^2 + (2*C1 + 6)*T + (C1^2 + 3*C1 - 2*C2)] + 2"),
+])
+def test_emit_golden(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == expected + "\n"
+
+
 def test_emit_chi_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, ["emit-chi", "--rank", "n", "--dim", "6",
                                     "--format", "json"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import chipoly.oracle as oracle_mod
+from chipoly.eulerchi import evaluate_chi
 from chipoly.oracle import (
     Lcg,
     SplitBundle,
@@ -49,7 +50,9 @@ def test_split_bundle_validation():
     with pytest.raises(ValueError):
         SplitBundle(2, ())
     with pytest.raises(ValueError):
-        SplitBundle(2, (1, -1))
+        SplitBundle(2, (1, 1.5))
+    # O(-1) is a line bundle too: chi(O(1) + O(-1)) on P^2 is 3 + 0.
+    assert split_chi(SplitBundle(2, (1, -1))) == 3
     sb = SplitBundle(3, [1, 2])
     assert sb.twists == (1, 2)
     assert sb.rank == 2
@@ -76,6 +79,16 @@ def test_split_chi_twist_forward_differences():
     for _ in range(sb.dim):
         values = [b - a for a, b in zip(values, values[1:])]
     assert all(v == sb.rank for v in values)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_negative_degrees_match_polynomial(dim):
+    for degrees in ((-1,), (-3, 2), (-7, 0, 5), (-2, -2, -9, 4), (-dim - 1, -dim, 1)):
+        sb = SplitBundle(dim, degrees)
+        cv = sb.chern_vector()
+        assert evaluate_chi(cv) == split_chi(sb), degrees
+        for t in range(-3, 4):
+            assert evaluate_chi(cv, t) == split_chi_twist(sb, t), (degrees, t)
 
 
 def test_chern_vector_of_bundle():
