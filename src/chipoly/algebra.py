@@ -3,12 +3,23 @@
 Variables are plain strings drawn from a fixed alphabet: the Chern-class
 slots ``C1``, ``C2``, ... (one per symmetric-function degree), the twist
 variable ``T``, the auxiliary univariate ``X`` used by factorial
-polynomials, and the symbolic rank ``n``.  A monomial is a tuple of
-``(variable, exponent)`` pairs with positive exponents, sorted by the
-fixed variable order ``C1 < C2 < ... < T < X < n``; the empty tuple is
-the constant monomial.  A polynomial is a finite map from monomials to
-nonzero ``fractions.Fraction`` coefficients; the constructors take int or
-Fraction coefficients only and reject anything else (a float, say).
+polynomials, and the symbolic rank ``n``, in the fixed order
+``C1 < C2 < ... < T < X < n``.
+
+Inside, a variable is an integer slot whose natural order is that order:
+``Ck`` is slot k and ``T``, ``X``, ``n`` take the three slots after every
+Chern slot (Chern indices stay below 2**62).  A monomial is a tuple of
+``(slot, exponent)`` pairs, exponents positive, sorted by slot; ``()`` is
+the constant monomial.  A polynomial maps monomials to nonzero integer
+numerators over one positive common denominator that shares no factor
+with all of them, so equal polynomials have equal state and hashes.
+Arithmetic, including ``sum_of_products`` (many products added up in one
+integer dict, which builds the power sums and chi), runs on these
+integers alone.  Names and Fractions appear only at the edges: the
+constructors, ``variable``, ``from_terms`` and ``from_json`` take int or
+Fraction coefficients only (not a float or a bool, say), and ``terms``,
+``coefficient`` and ``constant_term`` give ``(name, exponent)`` monomials
+and Fractions back.
 
 All renderers (text, LaTeX, JSON) list terms in graded lexicographic
 order, highest total degree first and ties broken by the variable order
@@ -17,13 +28,12 @@ share one term loop, which places signs, drops unit coefficients and
 writes constants; the two formats differ only in their tokens: how a
 variable power and a coefficient are written and what joins the factors.
 
-Evaluation compiles an integer plan once per polynomial and caches it on
-the (immutable) polynomial: the common denominator, the occurring
-variables, each variable's highest exponent, and every term as an integer
-numerator over that denominator with the positions of its variable powers
+Evaluation compiles a plan once per polynomial and caches it on the
+(immutable) polynomial: the occurring variables, each one's highest
+exponent, and every numerator with the positions of its variable powers
 in a power table.  A point then costs one table of powers x^0..x^top per
-variable and one exact sum; int and Fraction values share that loop, and
-any other value is rejected.
+variable and one exact sum over the common denominator; int and Fraction
+values share that loop, and any other value is rejected.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
@@ -41,83 +52,106 @@ RANK = "n"
 
 _CHERN_RE = re.compile(r"^C([1-9][0-9]*)$")
 
+# Slots of the named variables, after every Chern slot.
+_CHERN_LIMIT = 1 << 62
+_NAMED_SLOTS = {TWIST: _CHERN_LIMIT, AUX: _CHERN_LIMIT + 1, RANK: _CHERN_LIMIT + 2}
+
 Scalar = Union[int, Fraction]
 Monomial = tuple
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool, so JSON true/false never pass for 1/0."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_scalar(x) -> bool:
+    return isinstance(x, Fraction) or _is_int(x)
+
+
 def chern(i: int) -> str:
     """Name of the i-th Chern-class variable, e.g. chern(2) == "C2"."""
-    if not isinstance(i, int) or i < 1:
-        raise ValueError(f"Chern index must be a positive integer, got {i!r}")
+    if not _is_int(i) or not 0 < i < _CHERN_LIMIT:
+        raise ValueError(f"Chern index must be a positive integer below 2**62, got {i!r}")
     return f"C{i}"
 
 
-_RANK_CACHE: dict = {}
+def _slot(name) -> int:
+    """Slot of a variable name; rejects unknown names."""
+    if isinstance(name, str):
+        slot = _NAMED_SLOTS.get(name)
+        if slot is not None:
+            return slot
+        m = _CHERN_RE.match(name)
+        if m and int(m.group(1)) < _CHERN_LIMIT:
+            return int(m.group(1))
+    raise ValueError(f"unknown variable name {name!r}")
 
 
-def _var_rank(name: str) -> tuple:
-    """Sort rank of a variable in the canonical order; rejects unknown names."""
-    rank = _RANK_CACHE.get(name)
-    if rank is not None:
-        return rank
-    m = _CHERN_RE.match(name)
-    if m:
-        rank = (0, int(m.group(1)))
-    elif name == TWIST:
-        rank = (1, 0)
-    elif name == AUX:
-        rank = (2, 0)
-    elif name == RANK:
-        rank = (3, 0)
-    else:
-        raise ValueError(f"unknown variable name {name!r}")
-    _RANK_CACHE[name] = rank
-    return rank
+class _Names(dict):
+    def __missing__(self, slot: int) -> str:  # a Chern slot, named on first use
+        name = self[slot] = f"C{slot}"
+        return name
+
+
+_NAME = _Names({slot: name for name, slot in _NAMED_SLOTS.items()})  # slot -> name
 
 
 def standard_weight(var: str) -> int:
     """Grading used throughout: Ck has weight k, T and X weight 1, n weight 0."""
-    m = _CHERN_RE.match(var)
-    if m:
-        return int(m.group(1))
-    if var in (TWIST, AUX):
-        return 1
-    if var == RANK:
-        return 0
-    raise ValueError(f"unknown variable name {var!r}")
+    slot = _slot(var)
+    if slot < _CHERN_LIMIT:
+        return slot
+    return 0 if var == RANK else 1
 
 
-def _normalize_monomial(exps: Mapping[str, int]) -> Monomial:
+def _monomial(exps: Mapping[str, int]) -> Monomial:
+    """The monomial of a {name: exponent} map; zero exponents drop out."""
+    if not isinstance(exps, Mapping):
+        raise ValueError(f"exponents must map variable names to integers, got {exps!r}")
     pairs = []
     for var, e in exps.items():
-        _var_rank(var)
-        if not isinstance(e, int):
+        slot = _slot(var)
+        if not _is_int(e):
             raise ValueError(f"exponent of {var} must be an integer, got {e!r}")
         if e < 0:
             raise ValueError(f"exponent of {var} must be nonnegative, got {e}")
         if e > 0:
-            pairs.append((var, e))
-    pairs.sort(key=lambda p: _var_rank(p[0]))
+            pairs.append((slot, e))
+    pairs.sort()
     return tuple(pairs)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    # Both inputs are rank-sorted, so merge them directly.
     if not a:
         return b
     if not b:
         return a
+    # Disjoint slot ranges (a Chern monomial times a power of T, say)
+    # concatenate; a single variable is inserted by bisection.
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        slot, e = a[0]
+        i = bisect_left(b, (slot,))
+        if b[i][0] == slot:
+            return b[:i] + ((slot, b[i][1] + e),) + b[i + 1 :]
+        return b[:i] + a + b[i:]
     out = []
     i = j = 0
     la, lb = len(a), len(b)
     while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
+        sa, ea = a[i]
+        sb, eb = b[j]
+        if sa == sb:
+            out.append((sa, ea + eb))
             i += 1
             j += 1
-        elif _var_rank(va) < _var_rank(vb):
+        elif sa < sb:
             out.append(a[i])
             i += 1
         else:
@@ -128,61 +162,80 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _exact(coeff) -> Fraction:
-    """A coefficient as a Fraction; only int and Fraction values are exact."""
-    if isinstance(coeff, Fraction):
-        return coeff
-    if isinstance(coeff, int):
-        return Fraction(coeff)
-    raise ValueError(f"coefficient must be an int or Fraction, got {coeff!r}")
+def _rational(coeffs: dict) -> tuple:
+    """({monomial: numerator}, den) for a {monomial: int or Fraction} map."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
 
 
-def _term_key(mono: Monomial) -> tuple:
+def _reduced(num: int, den: int) -> tuple:
+    if den == 1:
+        return num, 1
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _order_key(mono: Monomial) -> tuple:
     # Graded lex, encoded so that ascending sort gives the canonical
-    # descending-degree order: degree negated, then (rank, -exp) pairs.
-    deg = sum(e for _, e in mono)
+    # descending-degree order: degree negated, then (slot, -exp) pairs.
+    deg = 0
     flat = []
-    for var, e in mono:
-        flat.append(_var_rank(var))
-        flat.append(-e)
+    for slot, e in mono:
+        deg += e
+        flat += (slot, -e)
     return (-deg, tuple(flat))
 
 
-# Renderers write each (variable, exponent) pair of a monomial through one
-# of these memoised token functions; the pairs are few (variables times
+# Renderers write each (slot, exponent) pair of a monomial through one of
+# these memoised token functions; the pairs are few (variables times
 # exponents), so the caches stay small.
 @lru_cache(maxsize=4096)
 def _text_power(pair: tuple) -> str:
-    var, e = pair
-    return var if e == 1 else f"{var}^{e}"
+    slot, e = pair
+    return _NAME[slot] if e == 1 else f"{_NAME[slot]}^{e}"
 
 
 @lru_cache(maxsize=4096)
 def _latex_power(pair: tuple) -> str:
-    var, e = pair
-    m = _CHERN_RE.match(var)
-    name = f"C_{{{m.group(1)}}}" if m else var
+    slot, e = pair
+    name = f"C_{{{slot}}}" if slot < _CHERN_LIMIT else _NAME[slot]
     return name if e == 1 else f"{name}^{{{e}}}"
 
 
-def _latex_magnitude(c: Fraction) -> str:
-    return str(c) if c.denominator == 1 else f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+def _text_magnitude(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _latex_magnitude(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"\\frac{{{num}}}{{{den}}}"
 
 
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("_terms", "_plan")
+    __slots__ = ("_terms", "_den", "_plan")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else _exact(coeff)
-                if c != 0:
-                    clean[mono] = c
-        self._terms = clean
-        self._plan = None
+        """Build from {((name, exponent), ...): coefficient}."""
+        poly = Polynomial.from_terms((dict(mono), c) for mono, c in (terms or {}).items())
+        self._terms, self._den, self._plan = poly._terms, poly._den, None
+
+    @classmethod
+    def _make(cls, nums: dict, den: int = 1) -> "Polynomial":
+        """The polynomial sum(nums[m] * m) / den for den > 0; takes nums.
+
+        Zero numerators drop out and den is reduced against the rest.
+        """
+        if 0 in nums.values():
+            nums = {m: c for m, c in nums.items() if c}
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: c // g for m, c in nums.items()}
+        poly = object.__new__(cls)
+        poly._terms, poly._den, poly._plan = nums, den, None
+        return poly
 
     # -- construction -------------------------------------------------
 
@@ -192,22 +245,51 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({(): _exact(value)})
+        return cls({(): value})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        _var_rank(name)
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def from_terms(cls, terms: Mapping[Mapping[str, int], Scalar] | Iterable) -> "Polynomial":
         """Build from {exponent-dict: coefficient} pairs (exponents may be 0)."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for exps, coeff in items:
-            mono = _normalize_monomial(exps)
-            acc[mono] = acc.get(mono, Fraction(0)) + _exact(coeff)
-        return cls(acc)
+            if not _is_scalar(coeff):
+                raise ValueError(f"coefficient must be an int or Fraction, got {coeff!r}")
+            mono = _monomial(exps)
+            acc[mono] = acc.get(mono, 0) + coeff
+        return cls._make(*_rational(acc))
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable, den: int = 1) -> "Polynomial":
+        """(1/den) * the sum of a * b over the (a, b) pairs.
+
+        Each factor is a Polynomial, an int or a Fraction, and den is a
+        positive int.  Every product lands in one integer dict over one
+        denominator, so no intermediate sum is built.
+        """
+        factors = []
+        common = 1
+        for a, b in pairs:
+            a, b = Polynomial._coerce(a), Polynomial._coerce(b)
+            if a is None or b is None:
+                raise TypeError("factors must be Polynomials, ints or Fractions")
+            factors.append((a, b))
+            common = math.lcm(common, a._den * b._den)
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        for a, b in factors:
+            scale = common // (a._den * b._den)
+            b_terms = b._terms.items()
+            for ma, ca in a._terms.items():
+                ca *= scale
+                for mb, cb in b_terms:
+                    mono = _mono_mul(ma, mb)
+                    acc[mono] = get(mono, 0) + ca * cb
+        return Polynomial._make(acc, common * den)
 
     # -- inspection ----------------------------------------------------
 
@@ -229,24 +311,24 @@ class Polynomial:
 
     def variables(self) -> list[str]:
         """Variables that actually occur, in canonical order."""
-        seen = {var for mono in self._terms for var, _ in mono}
-        return sorted(seen, key=_var_rank)
+        return [_NAME[s] for s in sorted({s for mono in self._terms for s, _ in mono})]
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
-        """Iterate (monomial, coefficient) in canonical display order."""
-        for mono in sorted(self._terms, key=_term_key):
-            yield mono, self._terms[mono]
+        """Iterate ((name, exponent) pairs, coefficient) in canonical display order."""
+        for mono in sorted(self._terms, key=_order_key):
+            yield (tuple((_NAME[s], e) for s, e in mono),
+                   Fraction(self._terms[mono], self._den))
 
     def coefficient(self, exps: Mapping[str, int]) -> Fraction:
         """Coefficient of the monomial with the given exponents (0 if absent)."""
-        return self._terms.get(_normalize_monomial(exps), Fraction(0))
+        return Fraction(self._terms.get(_monomial(exps), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get((), 0), self._den)
 
     def weighted_degrees(self, weight=standard_weight) -> set[int]:
         """Set of weighted degrees occurring among the terms."""
-        return {sum(e * weight(v) for v, e in mono) for mono in self._terms}
+        return {sum(e * weight(_NAME[s]) for s, e in mono) for mono in self._terms}
 
     def collect(self, var: str) -> dict[int, "Polynomial"]:
         """Group terms by the power of one variable.
@@ -254,18 +336,18 @@ class Polynomial:
         Returns {exponent: coefficient polynomial} with the variable
         removed from the coefficients.
         """
-        _var_rank(var)
-        groups: dict[int, dict[Monomial, Fraction]] = {}
+        slot = _slot(var)
+        groups: dict[int, dict[Monomial, int]] = {}
         for mono, coeff in self._terms.items():
             k = 0
             rest = []
-            for v, e in mono:
-                if v == var:
+            for s, e in mono:
+                if s == slot:
                     k = e
                 else:
-                    rest.append((v, e))
+                    rest.append((s, e))
             groups.setdefault(k, {})[tuple(rest)] = coeff
-        return {k: Polynomial(t) for k, t in groups.items()}
+        return {k: Polynomial._make(t, self._den) for k, t in groups.items()}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -273,7 +355,7 @@ class Polynomial:
     def _coerce(other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return Polynomial.constant(other)
         return None
 
@@ -281,60 +363,61 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return self._terms == p._terms
+        return self._den == p._den and self._terms == p._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
+
+    def _plus(self, p: "Polynomial", sign: int) -> "Polynomial":
+        den = math.lcm(self._den, p._den)
+        scale = den // self._den
+        acc = dict(self._terms) if scale == 1 else {m: c * scale for m, c in self._terms.items()}
+        scale = sign * (den // p._den)
+        get = acc.get
+        for mono, coeff in p._terms.items():
+            acc[mono] = get(mono, 0) + coeff * scale
+        return Polynomial._make(acc, den)
 
     def __add__(self, other) -> "Polynomial":
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for mono, coeff in p._terms.items():
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
-        return Polynomial(acc)
+        return self._plus(p, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._make({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return self + (-p)
+        return self._plus(p, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return p + (-self)
+        return p._plus(self, -1)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial.zero()
-            return Polynomial({m: c * other for m, c in self._terms.items()})
+        if _is_scalar(other):
+            num, den = other.numerator, other.denominator
+            return Polynomial._make({m: c * num for m, c in self._terms.items()}, self._den * den)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
-        return Polynomial(acc)
+        return Polynomial.sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not _is_int(exponent) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
         result = Polynomial.constant(1)
         base = self
@@ -350,77 +433,67 @@ class Polynomial:
 
     def substitute(self, bindings: Mapping[str, "Polynomial | Scalar"]) -> "Polynomial":
         """Replace variables by polynomials (or scalars); others pass through."""
-        polys: dict[str, Polynomial] = {}
+        polys: dict[int, Polynomial] = {}
         for var, value in bindings.items():
-            _var_rank(var)
+            slot = _slot(var)
             p = self._coerce(value)
             if p is None:
                 raise TypeError(f"binding for {var} must be a Polynomial or scalar")
-            polys[var] = p
-        pow_cache: dict[tuple[str, int], Polynomial] = {}
-        acc: dict[Monomial, Fraction] = {}
+            polys[slot] = p
+        pow_cache: dict[tuple[int, int], Polynomial] = {}
+        products = []
         for mono, coeff in self._terms.items():
-            passthrough = tuple((v, e) for v, e in mono if v not in polys)
-            factor = None
-            for v, e in mono:
-                if v not in polys:
-                    continue
-                key = (v, e)
-                if key not in pow_cache:
-                    pow_cache[key] = polys[v] ** e
-                factor = pow_cache[key] if factor is None else factor * pow_cache[key]
-            if factor is None:
-                acc[mono] = acc.get(mono, Fraction(0)) + coeff
-            else:
-                for m2, c2 in factor._terms.items():
-                    mono2 = _mono_mul(passthrough, m2)
-                    acc[mono2] = acc.get(mono2, Fraction(0)) + coeff * c2
-        return Polynomial(acc)
+            passthrough = tuple((s, e) for s, e in mono if s not in polys)
+            factor = 1
+            for key in mono:
+                if key[0] in polys:
+                    if key not in pow_cache:
+                        pow_cache[key] = polys[key[0]] ** key[1]
+                    factor = pow_cache[key] * factor
+            products.append((Polynomial._make({passthrough: coeff}), factor))
+        return Polynomial.sum_of_products(products, self._den)
 
     def common_denominator(self) -> int:
         """Least common multiple of the coefficient denominators (1 for 0)."""
-        den = 1
-        for c in self._terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return den
+        return self._den
 
     def _evaluation_plan(self) -> tuple:
-        """(den, variables, top exponents, terms), built once per polynomial.
+        """(variables, top exponents, terms), built once per polynomial.
 
-        Each term is (numerator scaled to the common denominator den,
-        indices of its variable powers in the power table).  The table
-        lists x^0..x^top for each variable x in turn, so the power x_s^e
-        sits at index e plus the sum of (top + 1) over the slots before s.
+        Each term is (numerator over the common denominator, indices of
+        its variable powers in the power table).  The table lists
+        x^0..x^top for each variable x in turn, so the power x_s^e sits at
+        index e plus the sum of (top + 1) over the variables before s.
         """
         if self._plan is None:
-            den = self.common_denominator()
-            names = self.variables()
-            slot = {var: i for i, var in enumerate(names)}
-            tops = [0] * len(names)
+            slots = sorted({s for mono in self._terms for s, _ in mono})
+            place = {s: i for i, s in enumerate(slots)}
+            tops = [0] * len(slots)
             for mono in self._terms:
-                for var, e in mono:
-                    s = slot[var]
-                    tops[s] = max(tops[s], e)
-            offsets = [0]
-            for top in tops:
-                offsets.append(offsets[-1] + top + 1)
+                for s, e in mono:
+                    i = place[s]
+                    tops[i] = max(tops[i], e)
+            offsets = {}
+            total = 0
+            for s, top in zip(slots, tops):
+                offsets[s] = total
+                total += top + 1
             terms = tuple(
-                (coeff.numerator * (den // coeff.denominator),
-                 tuple(offsets[slot[var]] + e for var, e in mono))
+                (coeff, tuple(offsets[s] + e for s, e in mono))
                 for mono, coeff in self._terms.items()
             )
-            self._plan = (den, tuple(names), tuple(tops), terms)
+            self._plan = (tuple(_NAME[s] for s in slots), tuple(tops), terms)
         return self._plan
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a point binding every occurring variable to an int or Fraction."""
-        den, names, tops, terms = self._evaluation_plan()
+        names, tops, terms = self._evaluation_plan()
         powers = []
         for var, top in zip(names, tops):
             if var not in point:
                 raise ValueError(f"no value for variable {var} in evaluation point")
             x = point[var]
-            if not isinstance(x, (int, Fraction)):
+            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
                 raise ValueError(f"value for variable {var} must be an int or Fraction, got {x!r}")
             power = 1
             powers.append(power)
@@ -434,38 +507,39 @@ class Polynomial:
             for i in indices:
                 t *= powers[i]
             total += t
-        return Fraction(total, den)
+        return Fraction(total, self._den)
 
     # -- rendering -------------------------------------------------------
 
     def _render(self, power, magnitude, sep: str) -> str:
         """Signed terms in canonical order, written in one format's tokens.
 
-        power((var, e)) writes one variable power, magnitude(c) a positive
-        coefficient, and sep joins a term's factors, coefficient included.
-        Signs, the omitted coefficient 1 and constant terms are handled
-        here, once for every format.
+        power((slot, e)) writes one variable power, magnitude(num, den) a
+        positive reduced coefficient, and sep joins a term's factors,
+        coefficient included.  Signs, the omitted coefficient 1 and
+        constant terms are handled here, once for every format.
         """
         if not self._terms:
             return "0"
+        den = self._den
         chunks = []
-        for mono, coeff in self.terms():
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
+        for mono in sorted(self._terms, key=_order_key):
+            coeff = self._terms[mono]
+            num, d = _reduced(abs(coeff), den)
             if not mono:
-                piece = magnitude(mag)
+                piece = magnitude(num, d)
             else:
                 piece = sep.join(map(power, mono))
-                if mag != 1:
-                    piece = magnitude(mag) + sep + piece
-            chunks.append(" - " + piece if neg else " + " + piece)
+                if num != 1 or d != 1:
+                    piece = magnitude(num, d) + sep + piece
+            chunks.append(" - " + piece if coeff < 0 else " + " + piece)
         text = "".join(chunks)
         # The leading term drops its joiner: " + a" -> "a", " - a" -> "-a".
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def to_text(self) -> str:
         """Human-readable form, canonical term order, e.g. "C1^2 - 2*C2"."""
-        return self._render(_text_power, str, "*")
+        return self._render(_text_power, _text_magnitude, "*")
 
     def to_latex(self) -> str:
         """LaTeX form, canonical term order, e.g. "C_{1}^{2} - 2 C_{2}"."""
@@ -473,33 +547,46 @@ class Polynomial:
 
     def to_json(self) -> str:
         """Serialize to the stable JSON form (see from_json)."""
+        den = self._den
         payload = {
             "vars": self.variables(),
             "terms": [
-                {"coeff": str(coeff), "exps": {v: e for v, e in mono}}
-                for mono, coeff in self.terms()
+                {"coeff": _text_magnitude(*_reduced(self._terms[mono], den)),
+                 "exps": {_NAME[s]: e for s, e in mono}}
+                for mono in sorted(self._terms, key=_order_key)
             ],
         }
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "Polynomial":
-        """Parse the JSON form: {"vars": [...], "terms": [{"coeff", "exps"}]}."""
+        """Parse the JSON form: {"vars": [...], "terms": [{"coeff", "exps"}]}.
+
+        Any malformed payload raises ValueError.
+        """
         payload = json.loads(text)
-        if not isinstance(payload, dict) or "terms" not in payload:
+        if not isinstance(payload, dict) or not isinstance(payload.get("terms"), list):
             raise ValueError("polynomial JSON must be an object with a 'terms' list")
-        for var in payload.get("vars", []):
-            _var_rank(var)
-        acc: dict[Monomial, Fraction] = {}
+        names = payload.get("vars", [])
+        if not isinstance(names, list):
+            raise ValueError(f"'vars' must be a list of variable names, got {names!r}")
+        for var in names:
+            _slot(var)
+        acc: dict[Monomial, Scalar] = {}
         for entry in payload["terms"]:
             if not isinstance(entry, dict) or "coeff" not in entry or "exps" not in entry:
                 raise ValueError("each term needs 'coeff' and 'exps' fields")
             coeff = entry["coeff"]
-            if not isinstance(coeff, (str, int)):
+            if isinstance(coeff, str):
+                try:
+                    coeff = Fraction(coeff)
+                except ZeroDivisionError:
+                    raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
+            elif not _is_int(coeff):
                 raise ValueError(f"coefficient must be a string or an integer, got {coeff!r}")
-            mono = _normalize_monomial(entry["exps"])
-            acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
-        return cls(acc)
+            mono = _monomial(entry["exps"])
+            acc[mono] = acc.get(mono, 0) + coeff
+        return cls._make(*_rational(acc))
 
     def __str__(self) -> str:
         return self.to_text()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import RANK, TWIST, Polynomial, chern
+from .algebra import RANK, TWIST, Polynomial, _is_int, chern
 from .stirling import unsigned_stirling1
 from .symmfun import PowerSumCache, power_sum_matrix, power_sum_recursive
 
@@ -35,12 +35,12 @@ CACHE_SIZE = 64
 
 
 def _check_dim(dim: int) -> None:
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValueError(f"projective-space dimension must be a positive integer, got {dim!r}")
 
 
 def _check_rank(rank) -> None:
-    if rank is not None and (not isinstance(rank, int) or rank < 1):
+    if rank is not None and (not _is_int(rank) or rank < 1):
         raise ValueError(f"rank must be a positive integer or None for symbolic, got {rank!r}")
 
 
@@ -54,13 +54,14 @@ def _assemble(rank, dim: int, sums: list, twist) -> Polynomial:
     """(1/N!) * sum_j q_j * B_j over B_0 = rank and B_1..B_N = sums, where
     q_j = sum_{k>=j} [N+1, k+1] binom(k, j) twist^(k-j).  twist = 0 makes
     q_j the plain integer [N+1, j+1], so the untwisted build scales only.
+    Every q_j * B_j lands in one integer dict over N!.
     """
-    total = Polynomial.zero()
+    products = []
     for j, bj in enumerate([_rank_poly(rank)] + sums):
         weight = sum(unsigned_stirling1(dim + 1, k + 1) * math.comb(k, j) * twist ** (k - j)
                      for k in range(j, dim + 1))
-        total = total + weight * bj
-    return total / math.factorial(dim)
+        products.append((weight, bj))
+    return Polynomial.sum_of_products(products, math.factorial(dim))
 
 
 def build_chi_polynomial(
@@ -85,15 +86,24 @@ def build_chi_polynomial(
     return _assemble(rank, dim, sums, 0)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+# typed: True and 3.0 hash like 1 and 3, and must reach the checks.
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _cached_chi(rank, dim, method):
+    return build_chi_polynomial(rank, dim, method)
+
+
 def chi_polynomial(rank, dim: int, method: str = "recursive") -> Polynomial:
     """The universal polynomial P with chi(F) = P(c_1, ..., c_N).
 
     rank is an integer or None for the symbolic rank variable n; dim is
     the N of projective N-space.  Results are cached per (rank, dim,
-    method), up to CACHE_SIZE of them.
+    method), however the call spells them, up to CACHE_SIZE of them.
     """
-    return build_chi_polynomial(rank, dim, method)
+    return _cached_chi(rank, dim, method)
+
+
+chi_polynomial.cache_info = _cached_chi.cache_info
+chi_polynomial.cache_clear = _cached_chi.cache_clear
 
 
 def _binomial_poly(top: Polynomial, j: int) -> Polynomial:
@@ -109,7 +119,7 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
 
     The paper's substitution rule, kept as the check on chi_twist_polynomial.
     """
-    if not isinstance(index, int) or index < 1:
+    if not _is_int(index) or index < 1:
         raise ValueError(f"Chern index must be a positive integer, got {index!r}")
     _check_rank(rank)
     top_base = _rank_poly(rank)
@@ -123,16 +133,25 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
     return total
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def chi_twist_polynomial(rank, dim: int) -> Polynomial:
-    """The polynomial G with chi(F(t)) = G(c_1, ..., c_N, t).
-
-    Cached per (rank, dim), up to CACHE_SIZE of them.
-    """
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _cached_chi_twist(rank, dim):
     _check_dim(dim)
     _check_rank(rank)
     sums = [power_sum_recursive(k) for k in range(1, dim + 1)]
     return _assemble(rank, dim, sums, Polynomial.variable(TWIST))
+
+
+def chi_twist_polynomial(rank, dim: int) -> Polynomial:
+    """The polynomial G with chi(F(t)) = G(c_1, ..., c_N, t).
+
+    Cached per (rank, dim), however the call spells them, up to
+    CACHE_SIZE of them.
+    """
+    return _cached_chi_twist(rank, dim)
+
+
+chi_twist_polynomial.cache_info = _cached_chi_twist.cache_info
+chi_twist_polynomial.cache_clear = _cached_chi_twist.cache_clear
 
 
 @dataclass(frozen=True)
@@ -145,7 +164,7 @@ class ChernVector:
 
     def __post_init__(self):
         _check_dim(self.dim)
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if not _is_int(self.rank) or self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         classes = tuple(self.classes)
         if len(classes) != self.dim:
@@ -153,7 +172,7 @@ class ChernVector:
                 f"need exactly {self.dim} Chern classes, got {len(classes)}"
             )
         for c in classes:
-            if not isinstance(c, int):
+            if not _is_int(c):
                 raise ValueError(f"Chern classes must be integers, got {c!r}")
         object.__setattr__(self, "classes", classes)
 
@@ -169,7 +188,7 @@ def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
     if twist is None:
         poly = chi_polynomial(cv.rank, cv.dim)
     else:
-        if not isinstance(twist, int):
+        if not _is_int(twist):
             raise ValueError(f"twist must be an integer, got {twist!r}")
         poly = chi_twist_polynomial(cv.rank, cv.dim)
         point[TWIST] = twist

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebra import _is_int
 from .eulerchi import ChernVector, evaluate_chi
 from .stirling import h0_line_bundle
 from .symmfun import elementary_values
@@ -58,13 +59,13 @@ class SplitBundle:
     twists: tuple
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not _is_int(self.dim) or self.dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         twists = tuple(self.twists)
         if not twists:
             raise ValueError("a split bundle needs at least one summand")
         for a in twists:
-            if not isinstance(a, int):
+            if not _is_int(a):
                 raise ValueError(f"summand degrees must be integers, got {a!r}")
         object.__setattr__(self, "twists", twists)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import threading
 
-from .algebra import AUX, Polynomial
+from .algebra import AUX, Polynomial, _is_int
 
 
 class StirlingTable:
@@ -82,7 +82,7 @@ def rising_factorial_poly(n: int) -> Polynomial:
     The coefficient of X^k is [n+1, k+1], which is how the whole triangle
     enters the Euler-characteristic formula.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"rising factorial needs a positive length, got {n!r}")
     _TABLE.ensure_rows(n + 1)
     return Polynomial.from_terms(
@@ -92,7 +92,7 @@ def rising_factorial_poly(n: int) -> Polynomial:
 
 def falling_factorial_poly(n: int) -> Polynomial:
     """X(X-1)...(X-n+1) expanded in X; coefficients are the signed numbers."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"falling factorial needs a positive length, got {n!r}")
     _TABLE.ensure_rows(n)
     return Polynomial.from_terms(

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import threading
 
-from .algebra import Polynomial, _mono_mul, chern
+from .algebra import Polynomial, _is_int, _mono_mul, chern
 
 
 def newton_matrix(r: int) -> list[list[Polynomial]]:
     """The r x r Newton-identity matrix M_r described in the module docstring."""
-    if not isinstance(r, int) or r < 1:
+    if not _is_int(r) or r < 1:
         raise ValueError(f"power-sum index must be a positive integer, got {r!r}")
     zero = Polynomial.zero()
     one = Polynomial.constant(1)
@@ -56,9 +56,10 @@ def _det_first_column(raw: list, rows: tuple, col: int) -> dict:
     the recurrence.  `rows` holds the surviving row indices and `col` the
     current leftmost column, so no submatrices are materialized, and the
     2x2 base case is written out; the arithmetic is still the textbook
-    expansion.  Matrix entries arrive as (monomial, coefficient) pairs
-    (or None for zero, exploiting that every Newton-matrix entry is a
-    single term); the result is a raw {monomial: coefficient} dict.
+    expansion.  Matrix entries arrive as (monomial, integer coefficient)
+    pairs in the polynomial's own slot layout (or None for zero, exploiting
+    that every Newton-matrix entry is a single term); the result is a raw
+    {monomial: coefficient} dict.
     """
     if len(rows) == 2:
         top, bottom = raw[rows[0]], raw[rows[1]]
@@ -92,22 +93,12 @@ def _det_first_column(raw: list, rows: tuple, col: int) -> dict:
 
 def power_sum_matrix(r: int) -> Polynomial:
     """B_r as the determinant of the Newton matrix."""
-    matrix = newton_matrix(r)
-    raw = []
-    for row in matrix:
-        packed = []
-        for entry in row:
-            terms = list(entry.terms())
-            if not terms:
-                packed.append(None)
-            else:
-                mono, coeff = terms[0]
-                packed.append((mono, coeff.numerator if coeff.denominator == 1 else coeff))
-        raw.append(packed)
+    # Every entry has at most one term and an integer coefficient, so it
+    # packs as its one (monomial, numerator) pair, or None for zero.
+    raw = [[next(iter(entry._terms.items()), None) for entry in row] for row in newton_matrix(r)]
     if r == 1:
-        entry = raw[0][0]
-        return Polynomial({entry[0]: entry[1]})
-    return Polynomial(_det_first_column(raw, tuple(range(r)), 0))
+        return Polynomial._make(dict([raw[0][0]]))
+    return Polynomial._make(_det_first_column(raw, tuple(range(r)), 0))
 
 
 class PowerSumCache:
@@ -118,22 +109,19 @@ class PowerSumCache:
         self._lock = threading.Lock()
 
     def power_sum(self, r: int) -> Polynomial:
-        if not isinstance(r, int) or r < 1:
+        if not _is_int(r) or r < 1:
             raise ValueError(f"power-sum index must be a positive integer, got {r!r}")
         with self._lock:
-            for k in range(1, r + 1):
-                if k in self._known:
-                    continue
-                if k == 1:
-                    self._known[1] = Polynomial.variable(chern(1))
-                    continue
-                acc = Polynomial.zero()
-                for l in range(1, k):
-                    term = Polynomial.variable(chern(l)) * self._known[k - l]
-                    acc = acc - term if l % 2 == 0 else acc + term
-                tail = k * Polynomial.variable(chern(k))
-                acc = acc + tail if k % 2 else acc - tail
-                self._known[k] = acc
+            if r not in self._known:
+                # (-1)^(l-1) C_l for l = 1..r; each B_k is then one sum of
+                # products, added up in one integer dict.
+                signed = [Polynomial.variable(chern(l)) * (-1) ** (l - 1) for l in range(1, r + 1)]
+                for k in range(1, r + 1):
+                    if k not in self._known:
+                        self._known[k] = Polynomial.sum_of_products(
+                            [(signed[l - 1], self._known[k - l]) for l in range(1, k)]
+                            + [(signed[k - 1], k)]
+                        )
             return self._known[r]
 
 

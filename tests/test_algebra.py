@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,37 @@ def test_from_json_accepts_string_and_int_coefficients():
     text = json.dumps({"terms": [{"coeff": "-1/3", "exps": {"C1": 1}},
                                  {"coeff": 2, "exps": {}}]})
     assert Polynomial.from_json(text) == C1 * Fraction(-1, 3) + 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"terms": [{"coeff": "1", "exps": [1]}]},
+    {"vars": 5, "terms": []},
+    {"terms": 5},
+    {"vars": [3], "terms": []},
+    {"terms": [{"coeff": "1/0", "exps": {}}]},
+])
+def test_from_json_rejects_malformed_payloads(payload):
+    with pytest.raises(ValueError):
+        Polynomial.from_json(json.dumps(payload))
+
+
+def test_bools_are_not_integers():
+    with pytest.raises(ValueError, match="coefficient"):
+        Polynomial.from_json('{"terms": [{"coeff": true, "exps": {"C1": 1}}]}')
+    with pytest.raises(ValueError, match="exponent"):
+        Polynomial.from_json('{"terms": [{"coeff": 1, "exps": {"C1": true}}]}')
+    with pytest.raises(ValueError, match="coefficient"):
+        Polynomial.constant(True)
+    with pytest.raises(ValueError, match="coefficient"):
+        Polynomial({(("C1", 1),): False})
+    with pytest.raises(ValueError, match="exponent"):
+        Polynomial.from_terms([({"C1": True}, 1)])
+    with pytest.raises(ValueError, match="exponent"):
+        C1 ** True
+    with pytest.raises(ValueError, match="Chern index"):
+        chern(True)
+    with pytest.raises(ValueError, match="C1"):
+        C1.evaluate({"C1": True})
 
 
 def test_eval_rational_point():
@@ -361,3 +393,73 @@ def test_int_evaluation_matches_fraction_path(p, a, b, c):
     assert p.evaluate({k: Fraction(v) for k, v in point.items()}) == expected
     halves = {k: Fraction(v, 2) for k, v in point.items()}
     assert p.evaluate(halves) == _reference_value(p, halves)
+
+
+# -- the integer-numerator representation against a dict-of-Fraction reference
+
+def _ref(terms):
+    """{frozenset of (name, exp): Fraction}, zero coefficients dropped."""
+    out = {}
+    for exps, c in terms:
+        key = frozenset((v, e) for v, e in exps.items() if e)
+        out[key] = out.get(key, 0) + Fraction(c)
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            exps = dict(ka)
+            for v, e in kb:
+                exps[v] = exps.get(v, 0) + e
+            key = frozenset(exps.items())
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _as_ref(p):
+    return {frozenset(mono): c for mono, c in p.terms()}
+
+
+def _assert_canonical(p, ref):
+    assert _as_ref(p) == ref
+    nums = list(p._terms.values())
+    assert p._den > 0 and 0 not in nums
+    assert math.gcd(p._den, *nums) == 1
+    assert p.common_denominator() == math.lcm(*(c.denominator for c in ref.values()))
+    # Built again from the reference's own terms: equal state, equal hash.
+    again = Polynomial.from_terms([(dict(k), c) for k, c in ref.items()])
+    assert again == p and hash(again) == hash(p)
+    assert (again._den, again._terms) == (p._den, p._terms)
+
+
+mixed_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+term_lists = st.lists(
+    st.tuples(st.fixed_dictionaries({v: exponents for v in ("C1", "C3", "T", "n")}), mixed_coeffs),
+    max_size=5,
+)
+
+
+@settings(deadline=None)
+@given(term_lists, term_lists, mixed_coeffs.filter(bool), st.integers(min_value=0, max_value=3))
+def test_integer_core_matches_fraction_reference(a_terms, b_terms, scalar, power):
+    p, q = Polynomial.from_terms(a_terms), Polynomial.from_terms(b_terms)
+    a, b = _ref(a_terms), _ref(b_terms)
+    _assert_canonical(p, a)
+    _assert_canonical(p + q, _ref_add(a, b))
+    _assert_canonical(p - q, _ref_add(a, b, -1))
+    _assert_canonical(p * q, _ref_mul(a, b))
+    _assert_canonical(p / scalar, {k: c / scalar for k, c in a.items()})
+    expected = {frozenset(): Fraction(1)}
+    for _ in range(power):
+        expected = _ref_mul(expected, a)
+    _assert_canonical(p**power, expected)
+    assert Polynomial.sum_of_products([(p, q), (q, scalar)], 6) == (p * q + q * scalar) / 6

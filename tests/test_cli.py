@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -94,6 +95,30 @@ def test_emit_golden(capsys, argv, expected):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out == expected + "\n"
+
+
+# SHA-256 of the full stdout at sizes the exact-string goldens above cannot
+# pin; recorded from the Fraction-coefficient polynomial core.
+@pytest.mark.parametrize("argv, digest", [
+    (["emit-chi", "--rank", "n", "--dim", "16", "--format", "text"],
+     "d723c0e75316d0df7df8c9fd239af8ab68e0f08b75bb6f4d4814b75b73d2dc7e"),
+    (["emit-chi", "--rank", "n", "--dim", "16", "--format", "latex"],
+     "b244d60a42fc029c9e95ef6d4abb1058d06cf3073f3eb91a794444aedf1237d4"),
+    (["emit-chi", "--rank", "n", "--dim", "16", "--format", "json"],
+     "2bf13e7d973836c5048c614b6ba674d7faede7cd7880b90a8b0cfd4a61e251c2"),
+    (["emit-chi-twist", "--rank", "n", "--dim", "10", "--format", "text"],
+     "9d0e814ee74d1b517f77dd16c617b6e48d62cc7497632b3e15be500ce3328fa6"),
+    (["emit-chi-twist", "--rank", "n", "--dim", "10", "--format", "latex"],
+     "2dbbbf61e35eebdbab504ce4da888466adca29b5ceaba6aafbc0a5211b794cfb"),
+    (["powersum", "--r", "10", "--method", "recursive"],
+     "503f5699a8492c70631fc16c0cb8d4ee8d6bfb6cedaa0804f3aa213529533799"),
+    (["powersum", "--r", "10", "--method", "matrix"],
+     "503f5699a8492c70631fc16c0cb8d4ee8d6bfb6cedaa0804f3aa213529533799"),
+])
+def test_emit_golden_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_emit_chi_json_round_trip(capsys):

@@ -200,6 +200,37 @@ def test_chern_vector_validation():
     assert cv.classes == (5, 6)
 
 
+def test_chern_vector_rejects_bools():
+    with pytest.raises(ValueError, match="rank"):
+        ChernVector(1, True, (1,))
+    with pytest.raises(ValueError, match="Chern classes"):
+        ChernVector(1, 1, (True,))
+    with pytest.raises(ValueError, match="dimension"):
+        ChernVector(True, 1, (1,))
+    with pytest.raises(ValueError, match="twist"):
+        evaluate_chi(ChernVector(2, 2, (1, 2)), twist=True)
+    chi_polynomial(1, 2)  # a cached (1, 2) entry must not answer for rank True
+    with pytest.raises(ValueError, match="rank"):
+        chi_polynomial(True, 2)
+    chi_twist_polynomial(2, 1)
+    with pytest.raises(ValueError, match="dimension"):
+        chi_twist_polynomial(2, True)
+
+
+def test_chi_cache_ignores_call_spelling():
+    chi_polynomial.cache_clear()
+    first = chi_polynomial(3, 6)
+    assert chi_polynomial(3, 6, "recursive") is first
+    assert chi_polynomial(rank=3, dim=6) is first
+    assert chi_polynomial(3, dim=6, method="recursive") is first
+    info = chi_polynomial.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    chi_twist_polynomial.cache_clear()
+    twisted = chi_twist_polynomial(2, 3)
+    assert chi_twist_polynomial(rank=2, dim=3) is twisted
+    assert chi_twist_polynomial.cache_info().misses == 1
+
+
 def test_rank_below_dimension_still_consistent():
     # rank 1 on the plane with nonzero c2 (e.g. an ideal sheaf shape):
     # the polynomial identity still pins the c2 contribution

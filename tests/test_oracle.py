@@ -51,6 +51,10 @@ def test_split_bundle_validation():
         SplitBundle(2, ())
     with pytest.raises(ValueError):
         SplitBundle(2, (1, 1.5))
+    with pytest.raises(ValueError):
+        SplitBundle(2, (1, True))
+    with pytest.raises(ValueError):
+        SplitBundle(True, (1,))
     # O(-1) is a line bundle too: chi(O(1) + O(-1)) on P^2 is 3 + 0.
     assert split_chi(SplitBundle(2, (1, -1))) == 3
     sb = SplitBundle(3, [1, 2])

@@ -73,6 +73,8 @@ def test_rising_factorial_small():
     assert rising_factorial_poly(4) == X**4 + 10 * X**3 + 35 * X**2 + 50 * X + 24
     with pytest.raises(ValueError):
         rising_factorial_poly(0)
+    with pytest.raises(ValueError):
+        rising_factorial_poly(True)
 
 
 def test_rising_factorial_matches_direct_product():
@@ -91,6 +93,8 @@ def test_falling_factorial_matches_direct_product():
         assert falling_factorial_poly(n) == product
     with pytest.raises(ValueError):
         falling_factorial_poly(0)
+    with pytest.raises(ValueError):
+        falling_factorial_poly(True)
 
 
 def test_large_entries_stay_exact():

@@ -60,6 +60,10 @@ def test_validation():
         power_sum_recursive(-2)
     with pytest.raises(ValueError):
         PowerSumCache().power_sum(0)
+    with pytest.raises(ValueError):
+        power_sum_recursive(True)
+    with pytest.raises(ValueError):
+        power_sum_matrix(True)
 
 
 def test_homogeneity():
