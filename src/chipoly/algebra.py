@@ -34,6 +34,10 @@ exponent, and every numerator with the positions of its variable powers
 in a power table.  A point then costs one table of powers x^0..x^top per
 variable and one exact sum over the common denominator; int and Fraction
 values share that loop, and any other value is rejected.
+
+Every integer argument in the library (a rank, dimension, Chern class,
+twist, index, exponent or count) goes through ``_check_int``: an int that
+is not a bool, within the stated bounds, or a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -65,15 +69,24 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_int(value, what: str, least=None, most=None):
+    """value, if it is an int (not a bool) in least..most; else ValueError naming what."""
+    # type() first: the oracle's hot loop passes plain ints thousands of times.
+    if ((type(value) is int or _is_int(value)) and (least is None or least <= value)
+            and (most is None or value <= most)):
+        return value
+    limits = "".join(f", at {word} {bound}" for word, bound in (("least", least), ("most", most))
+                     if bound is not None)
+    raise ValueError(f"{what}: expected an integer{limits}, got {value!r}")
+
+
 def _is_scalar(x) -> bool:
     return isinstance(x, Fraction) or _is_int(x)
 
 
 def chern(i: int) -> str:
     """Name of the i-th Chern-class variable, e.g. chern(2) == "C2"."""
-    if not _is_int(i) or not 0 < i < _CHERN_LIMIT:
-        raise ValueError(f"Chern index must be a positive integer below 2**62, got {i!r}")
-    return f"C{i}"
+    return f"C{_check_int(i, 'Chern index', 1, _CHERN_LIMIT - 1)}"
 
 
 def _slot(name) -> int:
@@ -112,11 +125,7 @@ def _monomial(exps: Mapping[str, int]) -> Monomial:
     pairs = []
     for var, e in exps.items():
         slot = _slot(var)
-        if not _is_int(e):
-            raise ValueError(f"exponent of {var} must be an integer, got {e!r}")
-        if e < 0:
-            raise ValueError(f"exponent of {var} must be nonnegative, got {e}")
-        if e > 0:
+        if _check_int(e, f"exponent of {var}", 0):
             pairs.append((slot, e))
     pairs.sort()
     return tuple(pairs)
@@ -417,8 +426,7 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not _is_int(exponent) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+        _check_int(exponent, "exponent", 0)
         result = Polynomial.constant(1)
         base = self
         e = exponent

@@ -10,18 +10,19 @@ execute in a child process that can be killed cleanly.
 from __future__ import annotations
 
 import json
-import math
-import multiprocessing
-import platform
-import statistics
 import time
 from dataclasses import dataclass, field
 
-from .algebra import Polynomial
+# multiprocessing, platform and statistics load where used: no other command needs them.
+
+from .algebra import Polynomial, _check_int
 from .eulerchi import METHODS, build_chi_polynomial
 from .symmfun import PowerSumCache
 
 DEFAULT_MATRIX_CUTOFF = 16
+# Longest timeout in seconds: Connection.poll waits in whole milliseconds
+# held in a C int, so 2**31 ms (about 2.1e6 s) and beyond overflow.
+_MAX_TIMEOUT = 10**6
 
 
 @dataclass
@@ -36,6 +37,8 @@ class MethodTiming:
     def median_seconds(self) -> float | None:
         if not self.seconds:
             return None
+        import statistics
+
         return statistics.median(self.seconds)
 
 
@@ -109,6 +112,8 @@ def _bench_worker(conn, dim: int, method: str):
 
 
 def _build_once_with_timeout(dim: int, method: str, timeout: float):
+    import multiprocessing
+
     ctx = multiprocessing.get_context()
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_bench_worker, args=(child, dim, method))
@@ -139,10 +144,13 @@ def run_bench(
     it is skipped (with a note) above matrix_cutoff unless the caller
     raises the cutoff explicitly.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be positive, got {repetitions}")
-    if timeout is not None and not 0 < timeout < math.inf:
-        raise ValueError(f"timeout must be a positive finite number of seconds, got {timeout}")
+    import platform
+
+    _check_int(dim, "dimension", 1)
+    _check_int(repetitions, "repetitions", 1)
+    _check_int(matrix_cutoff, "matrix cutoff")
+    if timeout is not None and not 0 < timeout <= _MAX_TIMEOUT:
+        raise ValueError(f"timeout must be in (0, {_MAX_TIMEOUT}] seconds, got {timeout}")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")

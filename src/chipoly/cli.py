@@ -14,7 +14,7 @@ from operator import methodcaller
 from typing import NamedTuple
 
 from .algebra import TWIST, Polynomial
-from .bench import DEFAULT_MATRIX_CUTOFF, run_bench
+from .bench import _MAX_TIMEOUT, DEFAULT_MATRIX_CUTOFF, run_bench
 from .eulerchi import (
     METHODS,
     ChernVector,
@@ -65,8 +65,8 @@ def _timeout_arg(text: str) -> float:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0 < value <= _MAX_TIMEOUT:
+        raise argparse.ArgumentTypeError(f"expected seconds in (0, {_MAX_TIMEOUT}], got {text!r}")
     return value
 
 
@@ -291,6 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    # argparse drops a "--" value, as in --dim=--, and stores [] without
+    # calling the flag's type; no flag here takes a list.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            args.parser.error(f"argument --{name.replace('_', '-')}: expected one value")
     return args.handler(args)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import RANK, TWIST, Polynomial, _is_int, chern
+from .algebra import RANK, TWIST, Polynomial, _check_int, chern
 from .stirling import unsigned_stirling1
 from .symmfun import PowerSumCache, power_sum_matrix, power_sum_recursive
 
@@ -34,20 +34,22 @@ METHODS = ("matrix", "recursive")
 CACHE_SIZE = 64
 
 
-def _check_dim(dim: int) -> None:
-    if not _is_int(dim) or dim < 1:
-        raise ValueError(f"projective-space dimension must be a positive integer, got {dim!r}")
-
-
-def _check_rank(rank) -> None:
-    if rank is not None and (not _is_int(rank) or rank < 1):
-        raise ValueError(f"rank must be a positive integer or None for symbolic, got {rank!r}")
-
-
 def _rank_poly(rank) -> Polynomial:
     if rank is None:
         return Polynomial.variable(RANK)
     return Polynomial.constant(rank)
+
+
+def _power_sums(rank, dim: int, method: str = "recursive", cache=None) -> list:
+    """B_1..B_dim by the given method, once rank, dim and method are checked."""
+    _check_int(dim, "dimension", 1)
+    if rank is not None:
+        _check_int(rank, "rank (or None for symbolic)", 1)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method == "matrix":
+        return [power_sum_matrix(k) for k in range(1, dim + 1)]
+    return [power_sum_recursive(k, cache) for k in range(1, dim + 1)]
 
 
 def _assemble(rank, dim: int, sums: list, twist) -> Polynomial:
@@ -70,20 +72,13 @@ def build_chi_polynomial(
     method: str = "recursive",
     cache: PowerSumCache | None = None,
 ) -> Polynomial:
-    """Uncached construction of the chi polynomial; see chi_polynomial.
+    """Construction of the chi polynomial, outside chi_polynomial's cache.
 
-    The benchmark calls this directly with a fresh PowerSumCache so that
-    each timed run pays the full cost of its method.
+    With cache=None the recursive route reads and fills the shared module
+    memo of power sums.  The benchmark passes a fresh PowerSumCache so
+    that each timed run pays the full cost of its method.
     """
-    _check_dim(dim)
-    _check_rank(rank)
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "matrix":
-        sums = [power_sum_matrix(k) for k in range(1, dim + 1)]
-    else:
-        sums = [power_sum_recursive(k, cache) for k in range(1, dim + 1)]
-    return _assemble(rank, dim, sums, 0)
+    return _assemble(rank, dim, _power_sums(rank, dim, method, cache), 0)
 
 
 # typed: True and 3.0 hash like 1 and 3, and must reach the checks.
@@ -119,9 +114,9 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
 
     The paper's substitution rule, kept as the check on chi_twist_polynomial.
     """
-    if not _is_int(index) or index < 1:
-        raise ValueError(f"Chern index must be a positive integer, got {index!r}")
-    _check_rank(rank)
+    _check_int(index, "Chern index", 1)
+    if rank is not None:
+        _check_int(rank, "rank (or None for symbolic)", 1)
     top_base = _rank_poly(rank)
     total = Polynomial.zero()
     for j in range(index + 1):
@@ -135,10 +130,7 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
 
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _cached_chi_twist(rank, dim):
-    _check_dim(dim)
-    _check_rank(rank)
-    sums = [power_sum_recursive(k) for k in range(1, dim + 1)]
-    return _assemble(rank, dim, sums, Polynomial.variable(TWIST))
+    return _assemble(rank, dim, _power_sums(rank, dim), Polynomial.variable(TWIST))
 
 
 def chi_twist_polynomial(rank, dim: int) -> Polynomial:
@@ -163,17 +155,15 @@ class ChernVector:
     classes: tuple
 
     def __post_init__(self):
-        _check_dim(self.dim)
-        if not _is_int(self.rank) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
+        _check_int(self.dim, "dimension", 1)
+        _check_int(self.rank, "rank", 1)
         classes = tuple(self.classes)
         if len(classes) != self.dim:
             raise ValueError(
                 f"need exactly {self.dim} Chern classes, got {len(classes)}"
             )
         for c in classes:
-            if not _is_int(c):
-                raise ValueError(f"Chern classes must be integers, got {c!r}")
+            _check_int(c, "Chern classes")
         object.__setattr__(self, "classes", classes)
 
 
@@ -188,10 +178,8 @@ def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
     if twist is None:
         poly = chi_polynomial(cv.rank, cv.dim)
     else:
-        if not _is_int(twist):
-            raise ValueError(f"twist must be an integer, got {twist!r}")
+        point[TWIST] = _check_int(twist, "twist")
         poly = chi_twist_polynomial(cv.rank, cv.dim)
-        point[TWIST] = twist
     return poly.evaluate(point)
 
 
@@ -202,7 +190,7 @@ def prefactor_parts(poly: Polynomial, dim: int) -> tuple[Polynomial, Polynomial]
     tail collects the constant and pure-rank terms.  This is the shape in
     which the polynomials are usually displayed.
     """
-    _check_dim(dim)
+    _check_int(dim, "dimension", 1)
     tail = Polynomial.constant(poly.constant_term()) + poly.coefficient(
         {RANK: 1}
     ) * Polynomial.variable(RANK)

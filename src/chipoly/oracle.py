@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
-from .algebra import _is_int
+from .algebra import _check_int
 from .eulerchi import ChernVector, evaluate_chi
 from .stirling import h0_line_bundle
 from .symmfun import elementary_values
@@ -37,12 +38,11 @@ class Lcg:
     """Deterministic 32-bit linear congruential generator."""
 
     def __init__(self, seed: int):
-        self.state = seed & _LCG_MASK
+        self.state = _check_int(seed, "seed") & _LCG_MASK
 
     def next_int(self, bound: int) -> int:
         """Uniform draw from 0..bound-1 (rejection on the top 16 bits)."""
-        if bound < 1 or bound > 1 << 16:
-            raise ValueError(f"bound must be in 1..65536, got {bound}")
+        _check_int(bound, "bound", 1, 1 << 16)
         limit = (1 << 16) - ((1 << 16) % bound)
         while True:
             self.state = (_LCG_MULT * self.state + _LCG_INC) & _LCG_MASK
@@ -59,14 +59,12 @@ class SplitBundle:
     twists: tuple
 
     def __post_init__(self):
-        if not _is_int(self.dim) or self.dim < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
+        _check_int(self.dim, "dimension", 1)
         twists = tuple(self.twists)
         if not twists:
             raise ValueError("a split bundle needs at least one summand")
         for a in twists:
-            if not _is_int(a):
-                raise ValueError(f"summand degrees must be integers, got {a!r}")
+            _check_int(a, "summand degrees")
         object.__setattr__(self, "twists", twists)
 
     @property
@@ -173,26 +171,21 @@ def verify(
     every twist t in -twist_range..twist_range.  Exact arithmetic
     throughout; any disagreement lands in the report with its inputs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if max_a < 0 or max_a > MAX_A:
-        raise ValueError(f"max-a must be in 0..{MAX_A}, got {max_a}")
-    if twist_range < 0:
-        raise ValueError(f"twist-range must be nonnegative, got {twist_range}")
-    report = VerifyReport(dim, rank, trials, max_a, seed, twist_range)
+    _check_int(dim, "dimension", 1)
+    _check_int(rank, "rank", 1)
+    _check_int(trials, "trials", 1)
+    _check_int(max_a, "max-a", 0, MAX_A)
+    _check_int(twist_range, "twist-range", 0)
     rng = Lcg(seed)
+    report = VerifyReport(dim, rank, trials, max_a, seed, twist_range)
     for trial in range(trials):
         degrees = tuple(rng.next_int(max_a + 1) for _ in range(rank))
         bundle = SplitBundle(dim, degrees)
         cv = bundle.chern_vector()
-        got = evaluate_chi(cv)
-        want = split_chi(bundle)
-        report.checks += 1
-        if got != want:
-            report.mismatches.append(Mismatch(trial, degrees, None, want, got))
-        for t in range(-twist_range, twist_range + 1):
+        # t = None is the untwisted check, then every twist in order.
+        for t in chain((None,), range(-twist_range, twist_range + 1)):
             got = evaluate_chi(cv, t)
-            want = split_chi_twist(bundle, t)
+            want = split_chi(bundle) if t is None else split_chi_twist(bundle, t)
             report.checks += 1
             if got != want:
                 report.mismatches.append(Mismatch(trial, degrees, t, want, got))

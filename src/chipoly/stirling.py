@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import threading
 
-from .algebra import AUX, Polynomial, _is_int
+from .algebra import AUX, Polynomial, _check_int
 
 
 class StirlingTable:
@@ -45,6 +45,8 @@ class StirlingTable:
                 self._rows.append(tuple(row))
 
     def unsigned(self, n: int, m: int) -> int:
+        _check_int(n, "n")
+        _check_int(m, "m")
         if n < 0 or m < 0 or m > n:
             return 0
         self.ensure_rows(n)
@@ -55,9 +57,7 @@ class StirlingTable:
         return -value if (n - m) % 2 else value
 
     def row(self, n: int, signed: bool = False) -> tuple[int, ...]:
-        if n < 0:
-            raise ValueError(f"row index must be nonnegative, got {n}")
-        self.ensure_rows(n)
+        self.ensure_rows(_check_int(n, "row index", 0))
         if not signed:
             return self._rows[n]
         return tuple(self.signed(n, m) for m in range(n + 1))
@@ -82,9 +82,7 @@ def rising_factorial_poly(n: int) -> Polynomial:
     The coefficient of X^k is [n+1, k+1], which is how the whole triangle
     enters the Euler-characteristic formula.
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"rising factorial needs a positive length, got {n!r}")
-    _TABLE.ensure_rows(n + 1)
+    _TABLE.ensure_rows(_check_int(n, "rising factorial length", 1) + 1)
     return Polynomial.from_terms(
         [({AUX: k}, _TABLE.unsigned(n + 1, k + 1)) for k in range(n + 1)]
     )
@@ -92,9 +90,7 @@ def rising_factorial_poly(n: int) -> Polynomial:
 
 def falling_factorial_poly(n: int) -> Polynomial:
     """X(X-1)...(X-n+1) expanded in X; coefficients are the signed numbers."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"falling factorial needs a positive length, got {n!r}")
-    _TABLE.ensure_rows(n)
+    _TABLE.ensure_rows(_check_int(n, "falling factorial length", 1))
     return Polynomial.from_terms(
         [({AUX: k}, _TABLE.signed(n, k)) for k in range(n + 1)]
     )
@@ -109,8 +105,8 @@ def h0_line_bundle(dim: int, degree: int) -> int:
     count of monomials; for -dim <= degree <= -1 it is 0.  The split-bundle
     oracle counts with it.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    _check_int(dim, "dimension", 1)
+    _check_int(degree, "degree")
     num = 1
     for j in range(1, dim + 1):
         num *= degree + j

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import threading
 
-from .algebra import Polynomial, _is_int, _mono_mul, chern
+from .algebra import Polynomial, _check_int, _mono_mul, chern
 
 
 def newton_matrix(r: int) -> list[list[Polynomial]]:
     """The r x r Newton-identity matrix M_r described in the module docstring."""
-    if not _is_int(r) or r < 1:
-        raise ValueError(f"power-sum index must be a positive integer, got {r!r}")
+    _check_int(r, "power-sum index", 1)
     zero = Polynomial.zero()
     one = Polynomial.constant(1)
     matrix = []
@@ -109,8 +108,7 @@ class PowerSumCache:
         self._lock = threading.Lock()
 
     def power_sum(self, r: int) -> Polynomial:
-        if not _is_int(r) or r < 1:
-            raise ValueError(f"power-sum index must be a positive integer, got {r!r}")
+        _check_int(r, "power-sum index", 1)
         with self._lock:
             if r not in self._known:
                 # (-1)^(l-1) C_l for l = 1..r; each B_k is then one sum of
@@ -144,10 +142,9 @@ def elementary_values(values, count: int) -> list[int]:
     off the coefficients of z^1..z^count; e_k = 0 for k beyond the number
     of values.
     """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    coeffs = [1] + [0] * count
+    coeffs = [1] + [0] * _check_int(count, "count", 0)
     for a in values:
+        _check_int(a, "values")
         for j in range(count, 0, -1):
             coeffs[j] += a * coeffs[j - 1]
     return coeffs[1:]
@@ -155,8 +152,6 @@ def elementary_values(values, count: int) -> list[int]:
 
 def power_sum_values(values, r: int) -> int:
     """The numeric power sum of the given integers, with p_0 = count."""
-    if r < 0:
-        raise ValueError(f"power-sum index must be nonnegative, got {r}")
-    if r == 0:
-        return len(list(values))
-    return sum(a**r for a in values)
+    _check_int(r, "power-sum index", 0)
+    values = [_check_int(a, "values") for a in values]
+    return sum(a**r for a in values) if r else len(values)

@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chipoly.algebra import AUX, RANK, TWIST, Polynomial, chern, standard_weight
+from chipoly.bench import run_bench
+from chipoly.oracle import Lcg, verify
+from chipoly.stirling import StirlingTable, h0_line_bundle, unsigned_stirling1
+from chipoly.symmfun import elementary_values
 
 C1 = Polynomial.variable("C1")
 C2 = Polynomial.variable("C2")
@@ -179,6 +183,28 @@ def test_bools_are_not_integers():
         chern(True)
     with pytest.raises(ValueError, match="C1"):
         C1.evaluate({"C1": True})
+
+
+# Each call took a float or a bool where the library needs an int, and
+# returned a float, ran on, or raised TypeError instead of ValueError.
+@pytest.mark.parametrize("call, noun", [
+    (lambda: h0_line_bundle(2, 1.5), "degree"),
+    (lambda: h0_line_bundle(True, 3), "dimension"),
+    (lambda: elementary_values([1.5, 2], 2), "values"),
+    (lambda: Lcg(1).next_int(2.5), "bound"),
+    (lambda: verify(2, 2, 1, True, 1), "max-a: expected an integer, at least 0, at most 65535"),
+    (lambda: verify(2, 2, 2.5, 3, 1), "trials"),
+    (lambda: verify(2, 2, 1, 3, 1, twist_range=1.5), "twist-range"),
+    (lambda: verify(2, 2, 1, 3, 1.5), "seed"),
+    (lambda: run_bench(2, repetitions=2.5), "repetitions"),
+    (lambda: StirlingTable().row(2.5), "row index"),
+    (lambda: unsigned_stirling1(2.5, 1), "^n: "),
+], ids=["h0-degree", "h0-dim", "elementary", "next_int", "verify-max_a", "verify-trials",
+        "verify-twist_range", "verify-seed", "bench-repetitions", "stirling-row",
+        "unsigned_stirling1"])
+def test_integer_arguments_raise_value_error(call, noun):
+    with pytest.raises(ValueError, match=noun):
+        call()
 
 
 def test_eval_rational_point():

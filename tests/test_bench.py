@@ -70,6 +70,14 @@ def test_bench_validation():
         run_bench(3, repetitions=0)
     with pytest.raises(ValueError):
         run_bench(3, methods=("sideways",))
-    for timeout in (0, -1, float("nan"), float("inf")):
+    # 10**6 s is the maximum; from 2147484 s on, Connection.poll's millisecond
+    # count overflows a C int.
+    for timeout in (0, -1, float("nan"), float("inf"), 10**6 + 1, 2147484, 1e10, 9223372036):
         with pytest.raises(ValueError):
             run_bench(3, timeout=timeout)
+
+
+def test_bench_runs_at_max_timeout():
+    report = run_bench(2, methods=("recursive",), repetitions=1, timeout=10**6)
+    timing = report.timings[0]
+    assert len(timing.seconds) == 1 and not timing.timed_out

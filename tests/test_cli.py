@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chipoly.algebra import Polynomial
 from chipoly.bench import BenchReport, MethodTiming
@@ -200,6 +203,10 @@ def test_usage_errors_exit_2(capsys):
         ["bench", "--dim", "3", "--timeout", "-1"],
         ["bench", "--dim", "3", "--timeout", "nan"],
         ["bench", "--dim", "3", "--timeout", "inf"],
+        ["bench", "--dim", "3", "--timeout", "1000001"],
+        ["bench", "--dim", "3", "--timeout", "2147484"],
+        ["bench", "--dim", "3", "--timeout", "1e10"],
+        ["bench", "--dim", "3", "--timeout", "9223372036"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -267,6 +274,15 @@ def test_bench_disagreement_exit_code(capsys, monkeypatch):
     assert "RESULTS DIFFER" in out
 
 
+def test_cli_import_skips_bench_only_modules():
+    # Only the bench subcommand needs these; they load when it runs.
+    code = ("import sys, chipoly.cli; "
+            "print(sorted({'multiprocessing', 'platform', 'statistics'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chipoly", "eval", "--rank", "1", "--dim", "3",
@@ -276,3 +292,99 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "10"
+
+
+# Strings that no numeric or list flag accepts, or accepts only by accident.
+# No huge numbers: --rows, --r, --dim and the like have no upper limit, so
+# a huge accepted value would run for hours; each draw keeps runs small.
+_JUNK = ["", "x", "n", "1.5", "nan", "inf", "-inf", "1e10", "0x10", " 3", "3,", ",",
+         "1,,2", "--", "\u00e9"]
+_HUGE = "9" * 40
+
+
+def _flag(valid, past=()):
+    """(accepted values, values past the flag's limits or junk) for one flag."""
+    return valid, st.sampled_from([str(v) for v in past] + _JUNK)
+
+
+def _number(lo, hi, past=()):
+    return _flag(st.integers(lo, hi).map(str), past)
+
+
+def _choice(valid, bad=()):
+    return _flag(st.sampled_from(valid), bad)
+
+
+_RANK = _flag(st.one_of(st.just("n"), st.integers(1, 5).map(str)), (0, -1))
+_DIM = _number(1, 5, (0, -1))
+_METHOD = _choice(["matrix", "recursive"], ["bogus"])
+_FORMAT = _choice(["text", "latex", "json"], ["pdf"])
+_BIG = _flag(st.integers(-10**30, 10**30).map(str))
+# Every subcommand's flags; None marks a switch, and the flags in _REQUIRED
+# are required wherever they appear.  Accepted values keep each run small:
+# dim, rank <= 5, trials <= 3, twist-range <= 3, rows <= 12, r <= 6.
+_FLAGS = {
+    "stirling": {"--rows": _number(0, 12, (-1,)), "--signed": None},
+    "powersum": {"--r": _number(1, 6, (0, -1)), "--method": _METHOD, "--format": _FORMAT},
+    "emit-chi": {"--rank": _RANK, "--dim": _DIM, "--method": _METHOD, "--format": _FORMAT},
+    "emit-chi-twist": {"--rank": _RANK, "--dim": _DIM, "--format": _FORMAT},
+    "eval": {"--rank": _RANK, "--dim": _DIM, "--chern": None, "--twist": _BIG},
+    "verify": {"--dim": _DIM, "--rank": _number(1, 5, (0, -1)),
+               "--trials": _number(1, 3, (0, -1)),
+               "--max-a": _flag(st.sampled_from(["0", "1", "4", "65535"]),
+                                (65536, 70000, _HUGE, -1)),
+               "--seed": _BIG, "--twist-range": _number(0, 3, (-1,)),
+               "--format": _choice(["text", "json"], ["latex"])},
+    "bench": {"--dim": _DIM,
+              "--methods": _choice(["matrix", "recursive", "matrix,recursive",
+                                    "recursive, matrix"], ["matrix,bogus"]),
+              "--repetitions": _number(1, 2, (0, -1)),
+              # 10**6 s is the maximum; from 2147484 s on, Connection.poll overflowed.
+              "--timeout": _choice(["1e-9", "0.5", "60", "1000000"],
+                                   [0, -1, 1000001, 2147484, 9223372036, _HUGE]),
+              "--matrix-cutoff": _flag(st.sampled_from(["1", "3", "20", _HUGE]), (0, -1)),
+              "--format": _choice(["text", "json"], ["latex"])},
+}
+_REQUIRED = {"--rows", "--r", "--rank", "--dim", "--chern"}
+
+
+@st.composite
+def _argv(draw):
+    """One command line: valid throughout half the time, else with flags
+    dropped, values past their limits or junk, and maybe a stray token."""
+    command = draw(st.sampled_from(sorted(_FLAGS) + ["no-such-command", ""]))
+    clean = draw(st.booleans())
+    argv = [command]
+    for flag, values in _FLAGS.get(command, {}).items():
+        if not (clean and flag in _REQUIRED) and not draw(st.booleans()):
+            continue
+        if flag == "--chern":  # one class per dimension, unless not clean
+            dim = argv[-1].partition("=")[2] if argv[-1].startswith("--dim=") else ""
+            count = int(dim) if dim in ("1", "2", "3", "4", "5") else 2
+            count += 0 if clean else draw(st.integers(-1, 1))
+            classes = draw(st.lists(st.integers(-10**6, 10**6), min_size=count, max_size=count))
+            argv.append("--chern=" + ",".join(map(str, classes)))
+        elif values is None:
+            argv.append(flag)
+        else:
+            valid, bad = values
+            argv.append(f"{flag}={draw(valid if clean or draw(st.booleans()) else bad)}")
+    if not clean:
+        argv += draw(st.lists(st.sampled_from(["--help", "--bogus", "extra"]), max_size=1))
+    return argv
+
+
+@settings(deadline=None, max_examples=200)
+@given(_argv())
+@example(["bench", "--dim=2", "--timeout=2147484"])
+@example(["bench", "--dim=2", "--timeout=1e10"])
+@example(["bench", "--dim=2", "--timeout=9223372036"])
+@example(["emit-chi", "--rank=n", "--dim=--"])
+def test_cli_fuzz_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
