@@ -580,7 +580,7 @@ class Polynomial:
             raise ValueError(f"'vars' must be a list of variable names, got {names!r}")
         for var in names:
             _slot(var)
-        acc: dict[Monomial, Scalar] = {}
+        pairs = []
         for entry in payload["terms"]:
             if not isinstance(entry, dict) or "coeff" not in entry or "exps" not in entry:
                 raise ValueError("each term needs 'coeff' and 'exps' fields")
@@ -592,9 +592,8 @@ class Polynomial:
                     raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
             elif not _is_int(coeff):
                 raise ValueError(f"coefficient must be a string or an integer, got {coeff!r}")
-            mono = _monomial(entry["exps"])
-            acc[mono] = acc.get(mono, 0) + coeff
-        return cls._make(*_rational(acc))
+            pairs.append((entry["exps"], coeff))
+        return cls.from_terms(pairs)
 
     def __str__(self) -> str:
         return self.to_text()

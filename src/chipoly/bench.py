@@ -148,7 +148,7 @@ def run_bench(
 
     _check_int(dim, "dimension", 1)
     _check_int(repetitions, "repetitions", 1)
-    _check_int(matrix_cutoff, "matrix cutoff")
+    _check_int(matrix_cutoff, "matrix cutoff", 1)
     if timeout is not None and not 0 < timeout <= _MAX_TIMEOUT:
         raise ValueError(f"timeout must be in (0, {_MAX_TIMEOUT}] seconds, got {timeout}")
     for m in methods:

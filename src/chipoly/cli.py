@@ -2,7 +2,10 @@
 
 Subcommands: stirling, powersum, emit-chi, emit-chi-twist, eval, verify,
 bench.  Exit codes: 0 on success, 1 when a verification or agreement
-check fails, 2 for usage errors (argparse's convention).
+check fails, 2 for usage errors (argparse's convention).  Flags are
+parsed here but bounded in the library: a value it refuses exits 2 with
+the library's message, such as "max-a: expected an integer, at least 0,
+at most 65535, got 70000".
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from operator import methodcaller
 from typing import NamedTuple
 
 from .algebra import TWIST, Polynomial
-from .bench import _MAX_TIMEOUT, DEFAULT_MATRIX_CUTOFF, run_bench
+from .bench import DEFAULT_MATRIX_CUTOFF, run_bench
 from .eulerchi import (
     METHODS,
     ChernVector,
@@ -23,51 +26,23 @@ from .eulerchi import (
     evaluate_chi,
     prefactor_parts,
 )
-from .oracle import MAX_A, verify
+from .oracle import verify
 from .stirling import StirlingTable
 from .symmfun import power_sum_matrix, power_sum_recursive
 
 
-def _int_arg(expected: str, least: int, most=math.inf, symbolic: bool = False):
-    """argparse type: an integer in least..most, or 'n' (None) when symbolic."""
-
-    def parse(text: str):
-        if symbolic and text == "n":
-            return None
-        try:
-            value = int(text)
-        except ValueError:
-            value = least - 1
-        if not least <= value <= most:
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
-
-    return parse
-
-
-_positive_int = _int_arg("a positive integer", 1)
-_nonneg_int = _int_arg("a nonnegative integer", 0)
-_rank_arg = _int_arg("a positive integer or 'n'", 1, symbolic=True)
+def _rank_arg(text: str):
+    """argparse type: 'n' (None, the symbolic rank) or an integer."""
+    if text == "n":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'n', got {text!r}") from None
 
 
 def _methods_arg(text: str) -> tuple:
-    methods = tuple(m.strip() for m in text.split(","))
-    for m in methods:
-        if m not in METHODS:
-            raise argparse.ArgumentTypeError(
-                f"unknown method {m!r}, expected {', '.join(METHODS)}"
-            )
-    return methods
-
-
-def _timeout_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value <= _MAX_TIMEOUT:
-        raise argparse.ArgumentTypeError(f"expected seconds in (0, {_MAX_TIMEOUT}], got {text!r}")
-    return value
+    return tuple(m.strip() for m in text.split(","))
 
 
 def _chern_arg(text: str) -> tuple:
@@ -163,6 +138,7 @@ def _emit_chi(poly: Polynomial, dim: int, fmt: str, twisted: bool) -> str:
 
 def _cmd_stirling(args) -> int:
     table = StirlingTable()
+    table.row(args.rows)  # checks --rows, which the loop below would skip if negative
     rows = [table.row(n, signed=args.signed) for n in range(args.rows + 1)]
     print(format_stirling_rows(rows))
     return 0
@@ -230,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("stirling", help="print the unsigned (or signed) Stirling triangle")
-    p.add_argument("--rows", type=_nonneg_int, required=True, help="last row N to print")
+    p.add_argument("--rows", type=int, required=True, help="last row N to print")
     p.add_argument("--signed", action="store_true", help="signed numbers s(N, m)")
     p.set_defaults(handler=_cmd_stirling, parser=p)
 
     p = subs.add_parser("powersum", help="print the power sum B_r in the C variables")
-    p.add_argument("--r", type=_positive_int, required=True, help="power-sum index")
+    p.add_argument("--r", type=int, required=True, help="power-sum index")
     p.add_argument("--method", choices=METHODS, default="recursive")
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
     p.set_defaults(handler=_cmd_powersum, parser=p)
@@ -243,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("emit-chi", help="print the chi polynomial for rank/dim")
     p.add_argument("--rank", type=_rank_arg, required=True,
                    help="sheaf rank, or 'n' to keep it symbolic")
-    p.add_argument("--dim", type=_positive_int, required=True)
+    p.add_argument("--dim", type=int, required=True)
     p.add_argument("--method", choices=METHODS, default="recursive")
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
     p.set_defaults(handler=_cmd_emit_chi, parser=p)
@@ -251,13 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("emit-chi-twist", help="print the twisted chi polynomial")
     p.add_argument("--rank", type=_rank_arg, required=True,
                    help="sheaf rank, or 'n' to keep it symbolic")
-    p.add_argument("--dim", type=_positive_int, required=True)
+    p.add_argument("--dim", type=int, required=True)
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
     p.set_defaults(handler=_cmd_emit_chi_twist, parser=p)
 
     p = subs.add_parser("eval", help="evaluate chi at a concrete Chern vector")
     p.add_argument("--rank", type=_rank_arg, required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
+    p.add_argument("--dim", type=int, required=True)
     p.add_argument("--chern", type=_chern_arg, required=True,
                    help="comma-separated integers c1,...,cN")
     p.add_argument("--twist", type=int, default=None,
@@ -265,23 +241,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval, parser=p)
 
     p = subs.add_parser("verify", help="cross-check against split-bundle counts")
-    p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument("--max-a", type=_int_arg(f"an integer in 0..{MAX_A}", 0, MAX_A), default=4)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--max-a", type=int, default=4)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--twist-range", type=_nonneg_int, default=4)
+    p.add_argument("--twist-range", type=int, default=4)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify, parser=p)
 
     p = subs.add_parser("bench", help="time the two power-sum routes")
-    p.add_argument("--dim", type=_positive_int, required=True)
+    p.add_argument("--dim", type=int, required=True)
     p.add_argument("--methods", type=_methods_arg, default=METHODS,
                    help="comma-separated subset of matrix,recursive")
-    p.add_argument("--repetitions", type=_positive_int, default=3)
-    p.add_argument("--timeout", type=_timeout_arg, default=None,
+    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--timeout", type=float, default=None,
                    help="per-run wall-clock limit in seconds")
-    p.add_argument("--matrix-cutoff", type=_positive_int, default=DEFAULT_MATRIX_CUTOFF)
+    p.add_argument("--matrix-cutoff", type=int, default=DEFAULT_MATRIX_CUTOFF)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_bench, parser=p)
 
@@ -296,7 +272,12 @@ def main(argv=None) -> int:
     for name, value in vars(args).items():
         if isinstance(value, list):
             args.parser.error(f"argument --{name.replace('_', '-')}: expected one value")
-    return args.handler(args)
+    # Every bound lives in the library, whose argument checks raise
+    # ValueError before any work starts: a refused value is a usage error.
+    try:
+        return args.handler(args)
+    except ValueError as err:
+        args.parser.error(str(err))
 
 
 if __name__ == "__main__":

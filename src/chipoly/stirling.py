@@ -30,7 +30,7 @@ class StirlingTable:
 
     def ensure_rows(self, n: int) -> None:
         """Make sure rows 0..n are filled."""
-        if n < len(self._rows):
+        if _check_int(n, "row index", 0) < len(self._rows):
             return
         with self._lock:
             while len(self._rows) <= n:
@@ -57,7 +57,7 @@ class StirlingTable:
         return -value if (n - m) % 2 else value
 
     def row(self, n: int, signed: bool = False) -> tuple[int, ...]:
-        self.ensure_rows(_check_int(n, "row index", 0))
+        self.ensure_rows(n)
         if not signed:
             return self._rows[n]
         return tuple(self.signed(n, m) for m in range(n + 1))
@@ -82,7 +82,7 @@ def rising_factorial_poly(n: int) -> Polynomial:
     The coefficient of X^k is [n+1, k+1], which is how the whole triangle
     enters the Euler-characteristic formula.
     """
-    _TABLE.ensure_rows(_check_int(n, "rising factorial length", 1) + 1)
+    _check_int(n, "rising factorial length", 1)
     return Polynomial.from_terms(
         [({AUX: k}, _TABLE.unsigned(n + 1, k + 1)) for k in range(n + 1)]
     )
@@ -90,7 +90,7 @@ def rising_factorial_poly(n: int) -> Polynomial:
 
 def falling_factorial_poly(n: int) -> Polynomial:
     """X(X-1)...(X-n+1) expanded in X; coefficients are the signed numbers."""
-    _TABLE.ensure_rows(_check_int(n, "falling factorial length", 1))
+    _check_int(n, "falling factorial length", 1)
     return Polynomial.from_terms(
         [({AUX: k}, _TABLE.signed(n, k)) for k in range(n + 1)]
     )

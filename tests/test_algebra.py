@@ -198,10 +198,12 @@ def test_bools_are_not_integers():
     (lambda: verify(2, 2, 1, 3, 1.5), "seed"),
     (lambda: run_bench(2, repetitions=2.5), "repetitions"),
     (lambda: StirlingTable().row(2.5), "row index"),
+    (lambda: StirlingTable().ensure_rows(2.5), "row index"),
+    (lambda: StirlingTable().ensure_rows(True), "row index"),
     (lambda: unsigned_stirling1(2.5, 1), "^n: "),
 ], ids=["h0-degree", "h0-dim", "elementary", "next_int", "verify-max_a", "verify-trials",
         "verify-twist_range", "verify-seed", "bench-repetitions", "stirling-row",
-        "unsigned_stirling1"])
+        "stirling-ensure_rows-float", "stirling-ensure_rows-bool", "unsigned_stirling1"])
 def test_integer_arguments_raise_value_error(call, noun):
     with pytest.raises(ValueError, match=noun):
         call()

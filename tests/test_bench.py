@@ -70,6 +70,10 @@ def test_bench_validation():
         run_bench(3, repetitions=0)
     with pytest.raises(ValueError):
         run_bench(3, methods=("sideways",))
+    # A cutoff below 1 would skip the matrix route at every dimension.
+    for cutoff in (0, -1):
+        with pytest.raises(ValueError, match="matrix cutoff"):
+            run_bench(3, methods=("matrix",), matrix_cutoff=cutoff)
     # 10**6 s is the maximum; from 2147484 s on, Connection.poll's millisecond
     # count overflows a C int.
     for timeout in (0, -1, float("nan"), float("inf"), 10**6 + 1, 2147484, 1e10, 9223372036):

@@ -207,11 +207,28 @@ def test_usage_errors_exit_2(capsys):
         ["bench", "--dim", "3", "--timeout", "2147484"],
         ["bench", "--dim", "3", "--timeout", "1e10"],
         ["bench", "--dim", "3", "--timeout", "9223372036"],
+        # Bounds that the library states and argparse only parses.
+        ["emit-chi", "--rank", "2", "--dim", "0"],
+        ["emit-chi-twist", "--rank", "2", "--dim", "0"],
+        ["verify", "--dim", "0", "--rank", "2"],
+        ["bench", "--dim", "0"],
+        ["emit-chi", "--rank", "0", "--dim", "2"],
+        ["emit-chi-twist", "--rank", "0", "--dim", "2"],
+        ["eval", "--rank", "0", "--dim", "2", "--chern", "1,2"],
+        ["verify", "--dim", "2", "--rank", "0"],
+        ["verify", "--dim", "2", "--rank", "2", "--trials", "0"],
+        ["verify", "--dim", "2", "--rank", "2", "--twist-range", "-1"],
+        ["verify", "--dim", "2", "--rank", "2", "--max-a", "-1"],
+        ["bench", "--dim", "3", "--repetitions", "0"],
+        ["bench", "--dim", "3", "--matrix-cutoff", "0"],
+        ["bench", "--dim", "3", "--methods", "bogus"],
+        ["powersum", "--r", "0", "--method", "matrix"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err, (argv, err)
 
 
 def test_help_exits_zero(capsys):
