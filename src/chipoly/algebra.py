@@ -15,11 +15,12 @@ numerators over one positive common denominator that shares no factor
 with all of them, so equal polynomials have equal state and hashes.
 Arithmetic, including ``sum_of_products`` (many products added up in one
 integer dict, which builds the power sums and chi), runs on these
-integers alone.  Names and Fractions appear only at the edges: the
-constructors, ``variable``, ``from_terms`` and ``from_json`` take int or
-Fraction coefficients only (not a float or a bool, say), and ``terms``,
-``coefficient`` and ``constant_term`` give ``(name, exponent)`` monomials
-and Fractions back.
+integers alone.  Names and Fractions appear only at the edges.  Terms
+keyed by names enter through ``from_terms`` (which ``from_json`` calls);
+``zero``, ``constant`` and ``variable`` build the integer state directly.
+``from_terms`` and ``constant`` take int or Fraction coefficients only
+(not a float or a bool, say), and ``terms``, ``coefficient`` and
+``constant_term`` give ``(name, exponent)`` monomials and Fractions back.
 
 All renderers (text, LaTeX, JSON) list terms in graded lexicographic
 order, highest total degree first and ties broken by the variable order
@@ -82,6 +83,13 @@ def _check_int(value, what: str, least=None, most=None):
 
 def _is_scalar(x) -> bool:
     return isinstance(x, Fraction) or _is_int(x)
+
+
+def _check_scalar(value):
+    """value, if it is an int (not a bool) or a Fraction; else ValueError."""
+    if _is_scalar(value):
+        return value
+    raise ValueError(f"coefficient must be an int or Fraction, got {value!r}")
 
 
 def chern(i: int) -> str:
@@ -171,12 +179,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _rational(coeffs: dict) -> tuple:
-    """({monomial: numerator}, den) for a {monomial: int or Fraction} map."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
-
-
 def _reduced(num: int, den: int) -> tuple:
     if den == 1:
         return num, 1
@@ -224,10 +226,9 @@ class Polynomial:
 
     __slots__ = ("_terms", "_den", "_plan")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        """Build from {((name, exponent), ...): coefficient}."""
-        poly = Polynomial.from_terms((dict(mono), c) for mono, c in (terms or {}).items())
-        self._terms, self._den, self._plan = poly._terms, poly._den, None
+    def __init__(self):
+        """The zero polynomial; from_terms builds any other from names."""
+        self._terms, self._den, self._plan = {}, 1, None
 
     @classmethod
     def _make(cls, nums: dict, den: int = 1) -> "Polynomial":
@@ -250,27 +251,27 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return cls._make({})
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({(): value})
+        value = _check_scalar(value)
+        return cls._make({(): value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls({((name, 1),): 1})
+        return cls._make({((_slot(name), 1),): 1})
 
     @classmethod
-    def from_terms(cls, terms: Mapping[Mapping[str, int], Scalar] | Iterable) -> "Polynomial":
-        """Build from {exponent-dict: coefficient} pairs (exponents may be 0)."""
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def from_terms(cls, terms: Iterable) -> "Polynomial":
+        """Build from ({name: exponent}, coefficient) pairs (exponents may be 0)."""
         acc: dict[Monomial, Scalar] = {}
-        for exps, coeff in items:
-            if not _is_scalar(coeff):
-                raise ValueError(f"coefficient must be an int or Fraction, got {coeff!r}")
+        for exps, coeff in terms:
+            coeff = _check_scalar(coeff)
             mono = _monomial(exps)
             acc[mono] = acc.get(mono, 0) + coeff
-        return cls._make(*_rational(acc))
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        return cls._make({m: c.numerator * (den // c.denominator) for m, c in acc.items()}, den)
 
     @staticmethod
     def sum_of_products(pairs: Iterable, den: int = 1) -> "Polynomial":
@@ -335,9 +336,9 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return Fraction(self._terms.get((), 0), self._den)
 
-    def weighted_degrees(self, weight=standard_weight) -> set[int]:
-        """Set of weighted degrees occurring among the terms."""
-        return {sum(e * weight(_NAME[s]) for s, e in mono) for mono in self._terms}
+    def weighted_degrees(self) -> set[int]:
+        """Set of degrees, weighted by standard_weight, occurring among the terms."""
+        return {sum(e * standard_weight(_NAME[s]) for s, e in mono) for mono in self._terms}
 
     def collect(self, var: str) -> dict[int, "Polynomial"]:
         """Group terms by the power of one variable.

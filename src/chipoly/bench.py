@@ -106,8 +106,7 @@ def _build_once(dim: int, method: str):
 
 
 def _bench_worker(conn, dim: int, method: str):
-    elapsed, poly = _build_once(dim, method)
-    conn.send((elapsed, poly.to_json()))
+    conn.send(_build_once(dim, method))  # (elapsed, polynomial), pickled
     conn.close()
 
 
@@ -121,9 +120,9 @@ def _build_once_with_timeout(dim: int, method: str, timeout: float):
     child.close()
     try:
         if parent.poll(timeout):
-            elapsed, payload = parent.recv()
+            result = parent.recv()
             proc.join()
-            return elapsed, Polynomial.from_json(payload)
+            return result
         proc.terminate()
         proc.join()
         return None, None

@@ -35,16 +35,15 @@ CACHE_SIZE = 64
 
 
 def _rank_poly(rank) -> Polynomial:
+    """B_0: the variable n for rank None, else the rank once it is checked."""
     if rank is None:
         return Polynomial.variable(RANK)
-    return Polynomial.constant(rank)
+    return Polynomial.constant(_check_int(rank, "rank (or None for symbolic)", 1))
 
 
-def _power_sums(rank, dim: int, method: str = "recursive", cache=None) -> list:
-    """B_1..B_dim by the given method, once rank, dim and method are checked."""
+def _power_sums(dim: int, method: str = "recursive", cache=None) -> list:
+    """B_1..B_dim by the given method, once dim and method are checked."""
     _check_int(dim, "dimension", 1)
-    if rank is not None:
-        _check_int(rank, "rank (or None for symbolic)", 1)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "matrix":
@@ -52,14 +51,14 @@ def _power_sums(rank, dim: int, method: str = "recursive", cache=None) -> list:
     return [power_sum_recursive(k, cache) for k in range(1, dim + 1)]
 
 
-def _assemble(rank, dim: int, sums: list, twist) -> Polynomial:
-    """(1/N!) * sum_j q_j * B_j over B_0 = rank and B_1..B_N = sums, where
+def _assemble(b0: Polynomial, dim: int, sums: list, twist) -> Polynomial:
+    """(1/N!) * sum_j q_j * B_j over B_0 = b0 and B_1..B_N = sums, where
     q_j = sum_{k>=j} [N+1, k+1] binom(k, j) twist^(k-j).  twist = 0 makes
     q_j the plain integer [N+1, j+1], so the untwisted build scales only.
     Every q_j * B_j lands in one integer dict over N!.
     """
     products = []
-    for j, bj in enumerate([_rank_poly(rank)] + sums):
+    for j, bj in enumerate([b0] + sums):
         weight = sum(unsigned_stirling1(dim + 1, k + 1) * math.comb(k, j) * twist ** (k - j)
                      for k in range(j, dim + 1))
         products.append((weight, bj))
@@ -78,7 +77,7 @@ def build_chi_polynomial(
     memo of power sums.  The benchmark passes a fresh PowerSumCache so
     that each timed run pays the full cost of its method.
     """
-    return _assemble(rank, dim, _power_sums(rank, dim, method, cache), 0)
+    return _assemble(_rank_poly(rank), dim, _power_sums(dim, method, cache), 0)
 
 
 # typed: True and 3.0 hash like 1 and 3, and must reach the checks.
@@ -115,8 +114,6 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
     The paper's substitution rule, kept as the check on chi_twist_polynomial.
     """
     _check_int(index, "Chern index", 1)
-    if rank is not None:
-        _check_int(rank, "rank (or None for symbolic)", 1)
     top_base = _rank_poly(rank)
     total = Polynomial.zero()
     for j in range(index + 1):
@@ -130,7 +127,7 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
 
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _cached_chi_twist(rank, dim):
-    return _assemble(rank, dim, _power_sums(rank, dim), Polynomial.variable(TWIST))
+    return _assemble(_rank_poly(rank), dim, _power_sums(dim), Polynomial.variable(TWIST))
 
 
 def chi_twist_polynomial(rank, dim: int) -> Polynomial:
