@@ -139,8 +139,14 @@ def chi_twist_polynomial(rank, dim: int) -> Polynomial:
     return _cached_chi_twist(rank, dim)
 
 
+def _clear_twist_caches():
+    """Empty G's cache and the cache of G bound at Chern vectors below."""
+    _cached_chi_twist.cache_clear()
+    _bound_chi_twist.cache_clear()
+
+
 chi_twist_polynomial.cache_info = _cached_chi_twist.cache_info
-chi_twist_polynomial.cache_clear = _cached_chi_twist.cache_clear
+chi_twist_polynomial.cache_clear = _clear_twist_caches
 
 
 @dataclass(frozen=True)
@@ -169,15 +175,26 @@ def _chern_names(dim: int) -> tuple:
     return tuple(chern(i) for i in range(1, dim + 1))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _bound_chi_twist(cv: ChernVector) -> Polynomial:
+    """G with cv's classes bound: chi(F(t)) as a polynomial in T alone."""
+    return chi_twist_polynomial(cv.rank, cv.dim).substitute(
+        dict(zip(_chern_names(cv.dim), cv.classes))
+    )
+
+
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
-    """Exact chi(F) (or chi(F(twist))) at a concrete Chern vector."""
-    point = dict(zip(_chern_names(cv.dim), cv.classes))
+    """Exact chi(F) (or chi(F(twist))) at a concrete Chern vector.
+
+    A twisted value binds the classes into G once per Chern vector (up
+    to CACHE_SIZE vectors are kept) and evaluates the resulting
+    polynomial in T, of degree dim, at the twist.
+    """
     if twist is None:
-        poly = chi_polynomial(cv.rank, cv.dim)
-    else:
-        point[TWIST] = _check_int(twist, "twist")
-        poly = chi_twist_polynomial(cv.rank, cv.dim)
-    return poly.evaluate(point)
+        point = dict(zip(_chern_names(cv.dim), cv.classes))
+        return chi_polynomial(cv.rank, cv.dim).evaluate(point)
+    point = {TWIST: _check_int(twist, "twist")}
+    return _bound_chi_twist(cv).evaluate(point)
 
 
 def prefactor_parts(poly: Polynomial, dim: int) -> tuple[Polynomial, Polynomial]:

@@ -66,6 +66,14 @@ def test_fast_constructors_match_from_terms(build, spelled):
     assert (fast._terms, fast._den, hash(fast)) == (slow._terms, slow._den, hash(slow))
 
 
+@pytest.mark.parametrize("terms", [{"C1": 1}, {"C12": 1}, [("C1", 1)], {}, "C1", 5,
+                                   [({"C1": 1}, 2, 3)], [({"C1": 1},)]])
+def test_from_terms_refuses_other_shapes(terms):
+    """Only ({name: exponent}, coefficient) pairs are terms; the error names that shape."""
+    with pytest.raises(ValueError, match=r"\(\{name: exponent\}, coefficient\) pairs"):
+        Polynomial.from_terms(terms)
+
+
 def test_rational_arithmetic_is_exact():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert Fraction(-2, 4) == Fraction(-1, 2)
@@ -133,6 +141,13 @@ def test_substitute_unbound_variables_pass_through():
 def test_substitute_accepts_scalars():
     p = C1**2 + C2
     assert p.substitute({"C1": 3}) == C2 + 9
+
+
+def test_substitute_mixed_bindings_stay_simultaneous():
+    """A scalar binding does not reach the variables a polynomial binding brings in."""
+    p = C1 * C2 + Fraction(1, 2) * C2**2
+    out = p.substitute({"C1": C2 + T, "C2": Fraction(3, 2)})
+    assert out == Fraction(3, 2) * (C2 + T) + Fraction(9, 8)
 
 
 def test_eval_examples():
@@ -442,6 +457,34 @@ def test_eval_substitute_coherence(p, q, c2, t):
     substituted = p.substitute({"C1": q})
     direct = p.evaluate({"C1": q.evaluate(point), "C2": c2})
     assert substituted.evaluate(point) == direct
+
+
+# Values around 60000 are the size of the oracle's largest summand degrees.
+binding_values = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=59990, max_value=60010),
+    st.integers(min_value=-60010, max_value=-59990),
+    st.fractions(min_value=-70000, max_value=70000, max_denominator=60007),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(polynomials(var_names=("C1", "C2", "T", "n")),
+                 st.builds(Polynomial.constant, binding_values)),
+       st.dictionaries(st.sampled_from(("C1", "C2", "T", "X", "n")), binding_values))
+def test_scalar_binding_matches_polynomial_path(p, binding):
+    """Scalars bound in one pass equal constant polynomials substituted term by term.
+
+    The binding names variables that occur in p, and X, which never does;
+    the variables of p it leaves out pass through.
+    """
+    bound = p.substitute(binding)
+    assert bound == p.substitute({v: Polynomial.constant(x) for v, x in binding.items()})
+    for v, x in binding.items():
+        assert p.substitute({v: x}) == p.substitute({v: Polynomial.constant(x)})
+    if set(p.variables()) <= set(binding):
+        assert bound.variables() == []
+        assert bound.constant_term() == p.evaluate(binding)
 
 
 @settings(deadline=None)

@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from chipoly import eulerchi
 from chipoly.algebra import RANK, TWIST, Polynomial, chern
 from chipoly.eulerchi import (
     ChernVector,
@@ -13,6 +15,7 @@ from chipoly.eulerchi import (
     prefactor_parts,
     twisted_chern_polynomial,
 )
+from chipoly.oracle import verify
 
 C1 = Polynomial.variable("C1")
 C2 = Polynomial.variable("C2")
@@ -229,6 +232,33 @@ def test_chi_cache_ignores_call_spelling():
     twisted = chi_twist_polynomial(2, 3)
     assert chi_twist_polynomial(rank=2, dim=3) is twisted
     assert chi_twist_polynomial.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_twisted_evaluation_routes_agree(dim):
+    """evaluate_chi, through G bound once per Chern vector, equals G evaluated whole."""
+    rng = random.Random(dim)
+    twists = [*range(-10, 11), 10**9, -(10**9)]
+    for rank in range(1, 6):
+        G = chi_twist_polynomial(rank, dim)
+        vectors = [tuple(rng.randint(-60000, 60000) for _ in range(dim)) for _ in range(2)]
+        vectors += [(0,) * dim, (-60000,) * dim]
+        for classes in vectors:
+            cv = ChernVector(dim, rank, classes)
+            point = {chern(i): c for i, c in enumerate(classes, 1)}
+            for t in twists:
+                assert evaluate_chi(cv, t) == G.evaluate({**point, TWIST: t})
+
+
+def test_verify_binds_g_at_most_once_per_trial():
+    trials, twist_range = 7, 6
+    chi_twist_polynomial.cache_clear()  # clears the bound polynomials too
+    assert eulerchi._bound_chi_twist.cache_info().currsize == 0
+    report = verify(6, 3, trials, 60000, 5, twist_range)
+    info = eulerchi._bound_chi_twist.cache_info()
+    assert report.ok and report.checks == trials * (2 * twist_range + 2)
+    assert info.hits + info.misses == trials * (2 * twist_range + 1)
+    assert info.misses <= trials
 
 
 def test_rank_below_dimension_still_consistent():
