@@ -34,13 +34,9 @@ Evaluation compiles a plan once per polynomial and caches it on the
 exponent, and every numerator with the positions of its variable powers
 in a power table.  A point then costs one table of powers x^0..x^top per
 variable and one exact sum over the common denominator; int and Fraction
-values share that loop, and any other value is rejected.
-
-``substitute`` binds its int and Fraction values on the same plan, in one
-integer pass: a value a/b at exponent e is the table entry a^e * b^(top-e),
-the product of the b^top joins the common denominator once, and terms
-whose unbound parts agree are added up.  Polynomial values are then
-substituted into that result term by term, with cached powers.
+values share that loop, and any other value is rejected.  ``evaluate`` is
+the only pass over the plan; ``substitute`` works term by term, with
+cached powers of the bound polynomials (a scalar counts as a constant).
 
 Every integer argument in the library (a rank, dimension, Chern class,
 twist, index, exponent or count) goes through ``_check_int``: an int that
@@ -460,27 +456,19 @@ class Polynomial:
     def substitute(self, bindings: Mapping[str, "Polynomial | Scalar"]) -> "Polynomial":
         """Replace variables by polynomials (or scalars); others pass through.
 
-        The scalars are bound first (see _bind), and the polynomials are
-        then substituted into that result.  The substitution stays
-        simultaneous: a variable that a bound polynomial brings in is
-        left as it is.
+        The substitution is simultaneous: a variable that a bound
+        polynomial brings in is left as it is.
         """
-        scalars: dict[str, Scalar] = {}
         polys: dict[int, Polynomial] = {}
         for var, value in bindings.items():
             slot = _slot(var)
-            if _is_scalar(value):
-                scalars[var] = value
-            elif isinstance(value, Polynomial):
-                polys[slot] = value
-            else:
+            p = self._coerce(value)
+            if p is None:
                 raise TypeError(f"binding for {var} must be a Polynomial or scalar")
-        bound = self._bind(scalars) if scalars else self
-        if not polys:
-            return bound
+            polys[slot] = p
         pow_cache: dict[tuple[int, int], Polynomial] = {}
         products = []
-        for mono, coeff in bound._terms.items():
+        for mono, coeff in self._terms.items():
             passthrough = tuple((s, e) for s, e in mono if s not in polys)
             factor = 1
             for key in mono:
@@ -489,53 +477,7 @@ class Polynomial:
                         pow_cache[key] = polys[key[0]] ** key[1]
                     factor = pow_cache[key] * factor
             products.append((Polynomial._make({passthrough: coeff}), factor))
-        return Polynomial.sum_of_products(products, bound._den)
-
-    def _bind(self, values: Mapping[str, Scalar]) -> "Polynomial":
-        """The polynomial with the named variables bound to int or Fraction values.
-
-        One integer pass over the evaluation plan.  A value a/b at
-        exponent e is the table entry a^e * b^(top - e), top being the
-        variable's highest exponent, and the product of the b^top goes
-        into the denominator once; a term without the variable takes the
-        entry for e = 0, which is b^top.
-        """
-        names, tops, terms = self._evaluation_plan()
-        # Per power-table index: a bound power's entry and its b^top, or
-        # None and the (slot, exponent) pair of a power left unbound.
-        table, fulls, pairs = [], [], []
-        scale = 1
-        for var, top in zip(names, tops):
-            x = values.get(var)
-            if x is None:
-                slot = _slot(var)
-                table += [None] * (top + 1)
-                fulls += [None] * (top + 1)
-                pairs += [(slot, e) for e in range(top + 1)]
-                continue
-            a, b = x.numerator, x.denominator
-            full = b**top
-            scale *= full
-            table += [a**e * b ** (top - e) for e in range(top + 1)]
-            fulls += [full] * (top + 1)
-            pairs += [None] * (top + 1)
-        acc: dict[tuple, int] = {}  # indices of a term's unbound powers -> numerator
-        get = acc.get
-        for num, indices in terms:
-            key = ()
-            seen = 1
-            for i in indices:
-                entry = table[i]
-                if entry is None:
-                    key += (i,)
-                else:
-                    num *= entry
-                    seen *= fulls[i]
-            if seen != scale:
-                num *= scale // seen
-            acc[key] = get(key, 0) + num
-        nums = {tuple(pairs[i] for i in key): num for key, num in acc.items()}
-        return Polynomial._make(nums, self._den * scale)
+        return Polynomial.sum_of_products(products, self._den)
 
     def common_denominator(self) -> int:
         """Least common multiple of the coefficient denominators (1 for 0)."""

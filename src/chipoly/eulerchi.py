@@ -140,8 +140,10 @@ def chi_twist_polynomial(rank, dim: int) -> Polynomial:
 
 
 def _clear_twist_caches():
-    """Empty G's cache and the cache of G bound at Chern vectors below."""
+    """Empty G's cache and the two below: G's coefficients of each power
+    of T, and those coefficients evaluated at Chern vectors."""
     _cached_chi_twist.cache_clear()
+    _twist_coefficients.cache_clear()
     _bound_chi_twist.cache_clear()
 
 
@@ -176,19 +178,27 @@ def _chern_names(dim: int) -> tuple:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _twist_coefficients(rank: int, dim: int) -> tuple:
+    """(k, G's coefficient of T^k) pairs; each coefficient is in the C_i alone."""
+    return tuple(chi_twist_polynomial(rank, dim).collect(TWIST).items())
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _bound_chi_twist(cv: ChernVector) -> Polynomial:
     """G with cv's classes bound: chi(F(t)) as a polynomial in T alone."""
-    return chi_twist_polynomial(cv.rank, cv.dim).substitute(
-        dict(zip(_chern_names(cv.dim), cv.classes))
+    point = dict(zip(_chern_names(cv.dim), cv.classes))
+    return Polynomial.from_terms(
+        ({TWIST: k}, coeff.evaluate(point))
+        for k, coeff in _twist_coefficients(cv.rank, cv.dim)
     )
 
 
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
     """Exact chi(F) (or chi(F(twist))) at a concrete Chern vector.
 
-    A twisted value binds the classes into G once per Chern vector (up
-    to CACHE_SIZE vectors are kept) and evaluates the resulting
-    polynomial in T, of degree dim, at the twist.
+    A twisted value evaluates G's coefficient of each power of T at the
+    classes, once per Chern vector (up to CACHE_SIZE vectors are kept),
+    and then the resulting polynomial in T, of degree dim, at the twist.
     """
     if twist is None:
         point = dict(zip(_chern_names(cv.dim), cv.classes))

@@ -150,6 +150,17 @@ def test_substitute_mixed_bindings_stay_simultaneous():
     assert out == Fraction(3, 2) * (C2 + T) + Fraction(9, 8)
 
 
+@pytest.mark.parametrize("bindings, error", [
+    ({"Z": 1}, ValueError), ({"Z": 0.5}, ValueError),
+    ({"C1": 0.5}, TypeError), ({"C1": True}, TypeError), ({"C1": "1"}, TypeError),
+])
+def test_substitute_refuses_unknown_names_and_inexact_values(bindings, error):
+    """An unknown name is a ValueError, whatever its value; a value that is not
+    a Polynomial, int or Fraction is a TypeError."""
+    with pytest.raises(error, match="Z" if error is ValueError else "C1"):
+        (C1**2 + C2).substitute(bindings)
+
+
 def test_eval_examples():
     p = C1**2 - 2 * C2
     assert p.evaluate({"C1": 3, "C2": 2}) == 5

@@ -252,13 +252,19 @@ def test_twisted_evaluation_routes_agree(dim):
 
 def test_verify_binds_g_at_most_once_per_trial():
     trials, twist_range = 7, 6
+    evaluate_chi(ChernVector(6, 3, (0,) * 6), 1)  # fills all three twist caches
     chi_twist_polynomial.cache_clear()  # clears the bound polynomials too
     assert eulerchi._bound_chi_twist.cache_info().currsize == 0
+    twist_caches = (eulerchi._cached_chi_twist, eulerchi._twist_coefficients,
+                    eulerchi._bound_chi_twist)
+    assert [cache.cache_info().currsize for cache in twist_caches] == [0, 0, 0]
     report = verify(6, 3, trials, 60000, 5, twist_range)
     info = eulerchi._bound_chi_twist.cache_info()
     assert report.ok and report.checks == trials * (2 * twist_range + 2)
     assert info.hits + info.misses == trials * (2 * twist_range + 1)
     assert info.misses <= trials
+    # G is collected by powers of T once per (rank, dim), not once per vector.
+    assert eulerchi._twist_coefficients.cache_info().misses == 1
 
 
 def test_rank_below_dimension_still_consistent():
