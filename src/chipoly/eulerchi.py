@@ -10,9 +10,11 @@ where [.,.] are unsigned Stirling numbers of the first kind and B_k is
 the k-th power sum written in the elementary-symmetric variables C_i
 (which stand in for the Chern classes).  Twisting by O(t) shifts every
 Chern root by t, so B_k becomes sum_j binom(k, j) T^(k-j) B_j and chi(F(t))
-is the same sum over the same B_j with weights in T (see _assemble).  The
-paper's substitution C_i -> sum_j binom(n-i+j, j) T^j C_{i-j}, C_0 = 1, is
-kept as twisted_chern_polynomial, the independent check on that shift.
+is the same sum over the same B_j with weights q_j in T (see _weights);
+evaluate_chi takes it at an integer twist, with the B_j evaluated, so it
+builds neither polynomial.  The paper's substitution C_i -> sum_j
+binom(n-i+j, j) T^j C_{i-j}, C_0 = 1, is kept as twisted_chern_polynomial,
+the independent check on that shift.
 Everything here is exact over Q; the rank may be a specific integer or
 left symbolic as the variable n.
 """
@@ -25,13 +27,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import RANK, TWIST, Polynomial, _check_int, chern
-from .stirling import unsigned_stirling1
+from .stirling import _TABLE
 from .symmfun import PowerSumCache, power_sum_matrix, power_sum_recursive
 
 METHODS = ("matrix", "recursive")
 # Entries kept by each result cache below; a cached polynomial also holds
 # its evaluation plan, so the caches are bounded.
 CACHE_SIZE = 64
+# Entries kept of _weights, N+1 integers each: every twist of verify's
+# window at one dim up to --twist-range 511, so a trial pays no new weights.
+WEIGHTS_CACHE_SIZE = 1024
 
 
 def _rank_poly(rank) -> Polynomial:
@@ -51,18 +56,28 @@ def _power_sums(dim: int, method: str = "recursive", cache=None) -> list:
     return [power_sum_recursive(k, cache) for k in range(1, dim + 1)]
 
 
-def _assemble(b0: Polynomial, dim: int, sums: list, twist) -> Polynomial:
-    """(1/N!) * sum_j q_j * B_j over B_0 = b0 and B_1..B_N = sums, where
-    q_j = sum_{k>=j} [N+1, k+1] binom(k, j) twist^(k-j).  twist = 0 makes
-    q_j the plain integer [N+1, j+1], so the untwisted build scales only.
-    Every q_j * B_j lands in one integer dict over N!.
+@lru_cache(maxsize=WEIGHTS_CACHE_SIZE)
+def _weights(dim: int, twist) -> tuple:
+    """q_0..q_N, q_j = sum_{k>=j} [N+1, k+1] binom(k, j) twist^(k-j), memoised.
+
+    q_j weighs B_j in N! * chi(F(twist)): B_k of the roots shifted by twist
+    is sum_j binom(k, j) twist^(k-j) B_j.  So the q_j are the coefficients
+    of R(x + twist), R(x) = sum_k [N+1, k+1] x^k, shifted one synthetic
+    division at a time.  twist is an integer, or the variable T for G.
     """
-    products = []
-    for j, bj in enumerate([b0] + sums):
-        weight = sum(unsigned_stirling1(dim + 1, k + 1) * math.comb(k, j) * twist ** (k - j)
-                     for k in range(j, dim + 1))
-        products.append((weight, bj))
-    return Polynomial.sum_of_products(products, math.factorial(dim))
+    q = list(_TABLE.row(dim + 1)[1:])
+    for low in range(dim):
+        acc = q[dim]
+        for k in range(dim - 1, low - 1, -1):
+            acc = q[k] = q[k] + twist * acc
+    return tuple(q)
+
+
+def _assemble(b0: Polynomial, dim: int, sums: list, twist) -> Polynomial:
+    """(1/N!) * sum_j q_j * B_j over B_0 = b0 and B_1..B_N = sums, with the
+    weights q_j of _weights; every q_j * B_j lands in one integer dict over N!.
+    """
+    return Polynomial.sum_of_products(zip(_weights(dim, twist), [b0] + sums), math.factorial(dim))
 
 
 def build_chi_polynomial(
@@ -139,16 +154,8 @@ def chi_twist_polynomial(rank, dim: int) -> Polynomial:
     return _cached_chi_twist(rank, dim)
 
 
-def _clear_twist_caches():
-    """Empty G's cache and the two below: G's coefficients of each power
-    of T, and those coefficients evaluated at Chern vectors."""
-    _cached_chi_twist.cache_clear()
-    _twist_coefficients.cache_clear()
-    _bound_chi_twist.cache_clear()
-
-
 chi_twist_polynomial.cache_info = _cached_chi_twist.cache_info
-chi_twist_polynomial.cache_clear = _clear_twist_caches
+chi_twist_polynomial.cache_clear = _cached_chi_twist.cache_clear
 
 
 @dataclass(frozen=True)
@@ -173,38 +180,26 @@ class ChernVector:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _chern_names(dim: int) -> tuple:
-    return tuple(chern(i) for i in range(1, dim + 1))
+def _bound_power_sums(cv: ChernVector) -> tuple:
+    """(rank, B_1..B_N at cv's classes): the power sums p_0..p_N of its roots.
 
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _twist_coefficients(rank: int, dim: int) -> tuple:
-    """(k, G's coefficient of T^k) pairs; each coefficient is in the C_i alone."""
-    return tuple(chi_twist_polynomial(rank, dim).collect(TWIST).items())
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _bound_chi_twist(cv: ChernVector) -> Polynomial:
-    """G with cv's classes bound: chi(F(t)) as a polynomial in T alone."""
-    point = dict(zip(_chern_names(cv.dim), cv.classes))
-    return Polynomial.from_terms(
-        ({TWIST: k}, coeff.evaluate(point))
-        for k, coeff in _twist_coefficients(cv.rank, cv.dim)
-    )
+    Each B_j has integer coefficients, so each value is an integer.
+    """
+    point = {chern(i): c for i, c in enumerate(cv.classes, 1)}
+    return (cv.rank, *(b.evaluate(point).numerator for b in _power_sums(cv.dim)))
 
 
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
     """Exact chi(F) (or chi(F(twist))) at a concrete Chern vector.
 
-    A twisted value evaluates G's coefficient of each power of T at the
-    classes, once per Chern vector (up to CACHE_SIZE vectors are kept),
-    and then the resulting polynomial in T, of degree dim, at the twist.
+    Returns (1/N!) * sum_j q_j(t) p_j with t = 0 when there is no twist:
+    the weights of _weights times the power sums B_j evaluated at the
+    classes, once per Chern vector (up to CACHE_SIZE vectors are kept).
+    The sum is the one chi and G are assembled from, so neither is built.
     """
-    if twist is None:
-        point = dict(zip(_chern_names(cv.dim), cv.classes))
-        return chi_polynomial(cv.rank, cv.dim).evaluate(point)
-    point = {TWIST: _check_int(twist, "twist")}
-    return _bound_chi_twist(cv).evaluate(point)
+    t = 0 if twist is None else _check_int(twist, "twist")
+    sums = _bound_power_sums(cv)
+    return Fraction(sum(q * p for q, p in zip(_weights(cv.dim, t), sums)), math.factorial(cv.dim))
 
 
 def prefactor_parts(poly: Polynomial, dim: int) -> tuple[Polynomial, Polynomial]:

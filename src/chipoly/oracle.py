@@ -3,11 +3,11 @@
 A direct sum of line bundles O(a_1) + ... + O(a_n) on projective N-space
 has Euler characteristic sum_i binom(a_i + N, N) (the binomial read as a
 polynomial in a_i, so any integer degree counts, negative ones included),
-and twisting by O(t) just shifts every a_i by t.  Neither fact goes through Stirling numbers,
-Newton's identities, or any symbolic algebra, so evaluating the chi
-polynomials at the elementary symmetric functions of the a_i and
-comparing against these counts is an independent end-to-end check of the
-whole pipeline.
+and twisting by O(t) just shifts every a_i by t.  Neither fact goes
+through Stirling numbers, Newton's identities, or any symbolic algebra,
+so comparing evaluate_chi at the elementary symmetric functions of the a_i
+(the B_j weighted by the q_j that chi and G are assembled from) against
+these counts is an independent check of those parts.
 
 Random bundles are drawn with a fixed 32-bit linear congruential
 generator (state <- 1664525*state + 1013904223 mod 2^32, draws from the
@@ -164,7 +164,7 @@ def verify(
     seed: int,
     twist_range: int = 4,
 ) -> VerifyReport:
-    """Compare the chi polynomials against direct counts on random bundles.
+    """Compare evaluate_chi against direct counts on random bundles.
 
     Each trial draws rank degrees uniformly from 0..max_a, forms the
     split bundle's Chern vector, and checks the untwisted value plus

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chipoly import eulerchi
+from chipoly import cli, eulerchi
 from chipoly.algebra import RANK, TWIST, Polynomial, chern
 from chipoly.eulerchi import (
     ChernVector,
@@ -16,6 +16,7 @@ from chipoly.eulerchi import (
     twisted_chern_polynomial,
 )
 from chipoly.oracle import verify
+from chipoly.symmfun import power_sum_recursive
 
 C1 = Polynomial.variable("C1")
 C2 = Polynomial.variable("C2")
@@ -182,7 +183,7 @@ def test_evaluate_line_bundles():
     # O(a) on projective dim-space: c1 = a, higher classes zero
     from chipoly.stirling import h0_line_bundle
 
-    for dim in (1, 2, 3):
+    for dim in range(1, 13):
         for a in range(5):
             cv = ChernVector(dim, 1, tuple([a] + [0] * (dim - 1)))
             assert evaluate_chi(cv) == h0_line_bundle(dim, a)
@@ -236,35 +237,87 @@ def test_chi_cache_ignores_call_spelling():
 
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_twisted_evaluation_routes_agree(dim):
-    """evaluate_chi, through G bound once per Chern vector, equals G evaluated whole."""
+    """evaluate_chi, the weighted power sums at the classes, equals chi and G
+    evaluated whole: the test that ties both polynomials to the numeric route."""
     rng = random.Random(dim)
     twists = [*range(-10, 11), 10**9, -(10**9)]
     for rank in range(1, 6):
+        chi = chi_polynomial(rank, dim)
         G = chi_twist_polynomial(rank, dim)
         vectors = [tuple(rng.randint(-60000, 60000) for _ in range(dim)) for _ in range(2)]
         vectors += [(0,) * dim, (-60000,) * dim]
         for classes in vectors:
             cv = ChernVector(dim, rank, classes)
             point = {chern(i): c for i, c in enumerate(classes, 1)}
+            assert evaluate_chi(cv) == chi.evaluate(point)
             for t in twists:
                 assert evaluate_chi(cv, t) == G.evaluate({**point, TWIST: t})
 
 
-def test_verify_binds_g_at_most_once_per_trial():
+def test_verify_binds_power_sums_at_most_once_per_trial(capsys):
     trials, twist_range = 7, 6
-    evaluate_chi(ChernVector(6, 3, (0,) * 6), 1)  # fills all three twist caches
-    chi_twist_polynomial.cache_clear()  # clears the bound polynomials too
-    assert eulerchi._bound_chi_twist.cache_info().currsize == 0
-    twist_caches = (eulerchi._cached_chi_twist, eulerchi._twist_coefficients,
-                    eulerchi._bound_chi_twist)
-    assert [cache.cache_info().currsize for cache in twist_caches] == [0, 0, 0]
+    chi_polynomial.cache_clear()
+    chi_twist_polynomial.cache_clear()
+    eulerchi._bound_power_sums.cache_clear()
     report = verify(6, 3, trials, 60000, 5, twist_range)
-    info = eulerchi._bound_chi_twist.cache_info()
+    info = eulerchi._bound_power_sums.cache_info()
     assert report.ok and report.checks == trials * (2 * twist_range + 2)
-    assert info.hits + info.misses == trials * (2 * twist_range + 1)
+    assert info.hits + info.misses == report.checks
     assert info.misses <= trials
-    # G is collected by powers of T once per (rank, dim), not once per vector.
-    assert eulerchi._twist_coefficients.cache_info().misses == 1
+    argv = ["eval", "--rank", "3", "--dim", "6", "--chern", "1,2,3,4,5,6", "--twist", "2"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # Neither verify nor eval builds chi or G.
+    assert chi_polynomial.cache_info().misses == 0
+    assert chi_twist_polynomial.cache_info().misses == 0
+
+
+def _partition_counts(top: int) -> list:
+    """p(0..top), the number of partitions of each integer."""
+    counts = [1] + [0] * top
+    for part in range(1, top + 1):
+        for total in range(part, top + 1):
+            counts[total] += counts[total - part]
+    return counts
+
+
+def test_power_sums_have_one_term_per_partition():
+    # B_r has a nonzero coefficient for every partition of r.
+    p = _partition_counts(30)
+    for r in range(1, 31):
+        assert len(power_sum_recursive(r)) == p[r]
+
+
+def test_chi_has_one_term_per_partition_of_each_weight():
+    # One term per partition of each weight 1..N, plus the rank; no
+    # coefficient of the sum cancels.
+    p = _partition_counts(24)
+    for dim in range(1, 25):
+        assert len(chi_polynomial(None, dim)) == sum(p[1 : dim + 1]) + 1
+
+
+def _todd_projective(dim: int) -> list:
+    """td(P^dim) = (H / (1 - e^-H))^(dim+1), coefficients of H^0..H^dim."""
+    # (1 - e^-H) / H = sum_m (-1)^m H^m / (m+1)!; invert it, then power up.
+    series = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(dim + 1)]
+    inverse = [Fraction(1)] + [Fraction(0)] * dim
+    for m in range(1, dim + 1):
+        inverse[m] = -sum(series[i] * inverse[m - i] for i in range(1, m + 1))
+    todd = [Fraction(1)] + [Fraction(0)] * dim
+    for _ in range(dim + 1):
+        todd = [sum(todd[i] * inverse[m - i] for i in range(m + 1)) for m in range(dim + 1)]
+    return todd
+
+
+@pytest.mark.parametrize("dim", range(1, 16))
+def test_weights_are_todd_class_coefficients(dim):
+    # Hirzebruch-Riemann-Roch on P^N: chi(F) = sum_k B_k / k! * td_{N-k}(P^N)
+    # (Fulton, Intersection Theory, ch. 15), so the untwisted weight of B_k
+    # over N! is td_{N-k} / k!, with no Stirling number in sight.
+    todd = _todd_projective(dim)
+    weights = eulerchi._weights(dim, 0)
+    for k in range(dim + 1):
+        assert Fraction(weights[k], math.factorial(dim)) == todd[dim - k] / math.factorial(k)
 
 
 def test_rank_below_dimension_still_consistent():
