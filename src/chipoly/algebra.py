@@ -29,14 +29,12 @@ share one term loop, which places signs, drops unit coefficients and
 writes constants; the two formats differ only in their tokens: how a
 variable power and a coefficient are written and what joins the factors.
 
-Evaluation compiles a plan once per polynomial and caches it on the
-(immutable) polynomial: the occurring variables, each one's highest
-exponent, and every numerator with the positions of its variable powers
-in a power table.  A point then costs one table of powers x^0..x^top per
-variable and one exact sum over the common denominator; int and Fraction
-values share that loop, and any other value is rejected.  ``evaluate`` is
-the only pass over the plan; ``substitute`` works term by term, with
-cached powers of the bound polynomials (a scalar counts as a constant).
+``evaluate`` checks that the point binds every occurring variable to an
+int or a Fraction (any other value is rejected), then sums the terms in
+one exact pass over the common denominator; integer points stay in plain
+integers until the final division.  ``substitute`` works term by term,
+with cached powers of the bound polynomials (a scalar counts as a
+constant).
 
 Every integer argument in the library (a rank, dimension, Chern class,
 twist, index, exponent or count) goes through ``_check_int``: an int that
@@ -226,11 +224,11 @@ def _latex_magnitude(num: int, den: int) -> str:
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("_terms", "_den", "_plan")
+    __slots__ = ("_terms", "_den")
 
     def __init__(self):
         """The zero polynomial; from_terms builds any other from names."""
-        self._terms, self._den, self._plan = {}, 1, None
+        self._terms, self._den = {}, 1
 
     @classmethod
     def _make(cls, nums: dict, den: int = 1) -> "Polynomial":
@@ -246,7 +244,7 @@ class Polynomial:
                 den //= g
                 nums = {m: c // g for m, c in nums.items()}
         poly = object.__new__(cls)
-        poly._terms, poly._den, poly._plan = nums, den, None
+        poly._terms, poly._den = nums, den
         return poly
 
     # -- construction -------------------------------------------------
@@ -483,55 +481,22 @@ class Polynomial:
         """Least common multiple of the coefficient denominators (1 for 0)."""
         return self._den
 
-    def _evaluation_plan(self) -> tuple:
-        """(variables, top exponents, terms), built once per polynomial.
-
-        Each term is (numerator over the common denominator, indices of
-        its variable powers in the power table).  The table lists
-        x^0..x^top for each variable x in turn, so the power x_s^e sits at
-        index e plus the sum of (top + 1) over the variables before s.
-        """
-        if self._plan is None:
-            slots = sorted({s for mono in self._terms for s, _ in mono})
-            place = {s: i for i, s in enumerate(slots)}
-            tops = [0] * len(slots)
-            for mono in self._terms:
-                for s, e in mono:
-                    i = place[s]
-                    tops[i] = max(tops[i], e)
-            offsets = {}
-            total = 0
-            for s, top in zip(slots, tops):
-                offsets[s] = total
-                total += top + 1
-            terms = tuple(
-                (coeff, tuple(offsets[s] + e for s, e in mono))
-                for mono, coeff in self._terms.items()
-            )
-            self._plan = (tuple(_NAME[s] for s in slots), tuple(tops), terms)
-        return self._plan
-
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a point binding every occurring variable to an int or Fraction."""
-        names, tops, terms = self._evaluation_plan()
-        powers = []
-        for var, top in zip(names, tops):
+        values = {}
+        for var in self.variables():
             if var not in point:
                 raise ValueError(f"no value for variable {var} in evaluation point")
             x = point[var]
             if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
                 raise ValueError(f"value for variable {var} must be an int or Fraction, got {x!r}")
-            power = 1
-            powers.append(power)
-            for _ in range(top):
-                power *= x
-                powers.append(power)
+            values[var] = x
         # Integer points stay in plain integers until the final division;
         # Fraction points run through the same loop.
         total = 0
-        for t, indices in terms:
-            for i in indices:
-                t *= powers[i]
+        for mono, t in self._terms.items():
+            for s, e in mono:
+                t *= values[_NAME[s]] ** e
             total += t
         return Fraction(total, self._den)
 

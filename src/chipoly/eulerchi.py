@@ -10,9 +10,11 @@ where [.,.] are unsigned Stirling numbers of the first kind and B_k is
 the k-th power sum written in the elementary-symmetric variables C_i
 (which stand in for the Chern classes).  Twisting by O(t) shifts every
 Chern root by t, so B_k becomes sum_j binom(k, j) T^(k-j) B_j and chi(F(t))
-is the same sum over the same B_j with weights q_j in T (see _weights);
-evaluate_chi takes it at an integer twist, with the B_j evaluated, so it
-builds neither polynomial.  The paper's substitution C_i -> sum_j
+is the same sum over the same B_j with weights q_j in T (see _weights).
+At a concrete Chern vector B_j is the power sum p_j of the Chern roots,
+which Newton's identities give from the classes in plain integers, so
+evaluate_chi takes the sum at an integer twist without building any
+polynomial.  The paper's substitution C_i -> sum_j
 binom(n-i+j, j) T^j C_{i-j}, C_0 = 1, is kept as twisted_chern_polynomial,
 the independent check on that shift.
 Everything here is exact over Q; the rank may be a specific integer or
@@ -31,8 +33,8 @@ from .stirling import _TABLE
 from .symmfun import PowerSumCache, power_sum_matrix, power_sum_recursive
 
 METHODS = ("matrix", "recursive")
-# Entries kept by each result cache below; a cached polynomial also holds
-# its evaluation plan, so the caches are bounded.
+# Entries kept by each result cache below; cached polynomials grow with
+# the partition counts, so the caches are bounded.
 CACHE_SIZE = 64
 # Entries kept of _weights, N+1 integers each: every twist of verify's
 # window at one dim up to --twist-range 511, so a trial pays no new weights.
@@ -181,21 +183,29 @@ class ChernVector:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _bound_power_sums(cv: ChernVector) -> tuple:
-    """(rank, B_1..B_N at cv's classes): the power sums p_0..p_N of its roots.
+    """(rank, p_1..p_N): the power sums p_0..p_N of cv's Chern roots.
 
-    Each B_j has integer coefficients, so each value is an integer.
+    Newton's identities in plain integers, O(N^2) steps (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.2):
+    p_k = sum_{l<k} (-1)^(l-1) c_l p_(k-l) + (-1)^(k-1) k c_k.  The symbolic
+    B_k come from the same recurrence, and a test checks each p_k against
+    B_k evaluated at the classes.
     """
-    point = {chern(i): c for i, c in enumerate(cv.classes, 1)}
-    return (cv.rank, *(b.evaluate(point).numerator for b in _power_sums(cv.dim)))
+    signed = [c if l % 2 else -c for l, c in enumerate(cv.classes, 1)]
+    p = [cv.rank]
+    for k in range(1, cv.dim + 1):
+        p.append(k * signed[k - 1] + sum(s * q for s, q in zip(signed, p[k - 1 : 0 : -1])))
+    return tuple(p)
 
 
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
     """Exact chi(F) (or chi(F(twist))) at a concrete Chern vector.
 
     Returns (1/N!) * sum_j q_j(t) p_j with t = 0 when there is no twist:
-    the weights of _weights times the power sums B_j evaluated at the
-    classes, once per Chern vector (up to CACHE_SIZE vectors are kept).
-    The sum is the one chi and G are assembled from, so neither is built.
+    the weights of _weights times the power sums p_j of the Chern roots,
+    which _bound_power_sums computes once per Chern vector (up to
+    CACHE_SIZE vectors are kept).  The sum is the one chi and G are
+    assembled from, with p_j in place of B_j, so no polynomial is built.
     """
     t = 0 if twist is None else _check_int(twist, "twist")
     sums = _bound_power_sums(cv)

@@ -6,8 +6,9 @@ polynomial in a_i, so any integer degree counts, negative ones included),
 and twisting by O(t) just shifts every a_i by t.  Neither fact goes
 through Stirling numbers, Newton's identities, or any symbolic algebra,
 so comparing evaluate_chi at the elementary symmetric functions of the a_i
-(the B_j weighted by the q_j that chi and G are assembled from) against
-these counts is an independent check of those parts.
+against these counts is an independent check of its parts: the power sums
+p_j of the roots, from the integer Newton recurrence, weighted by the q_j
+that chi and G are assembled from.
 
 Random bundles are drawn with a fixed 32-bit linear congruential
 generator (state <- 1664525*state + 1013904223 mod 2^32, draws from the

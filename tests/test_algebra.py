@@ -172,7 +172,7 @@ def test_eval_unbound_variable_is_named():
     p = C1 + C2
     with pytest.raises(ValueError, match="C2"):
         p.evaluate({"C1": 1})
-    # The same after the evaluation plan has been built and cached.
+    # The same after a successful evaluation.
     assert p.evaluate({"C1": 1, "C2": 2}) == 3
     with pytest.raises(ValueError, match="C2"):
         p.evaluate({"C1": 1})
@@ -298,7 +298,7 @@ def test_eval_zero_and_constant():
 
 
 def _reference_value(p, point):
-    """Term-by-term sum in Fractions, independent of the evaluation plan."""
+    """Term-by-term sum in Fractions, independent of evaluate's integer loop."""
     total = Fraction(0)
     for mono, coeff in p.terms():
         t = coeff

@@ -15,8 +15,8 @@ from chipoly.eulerchi import (
     prefactor_parts,
     twisted_chern_polynomial,
 )
-from chipoly.oracle import verify
-from chipoly.symmfun import power_sum_recursive
+from chipoly.oracle import SplitBundle, split_chi_twist, verify
+from chipoly.symmfun import power_sum_recursive, power_sum_values
 
 C1 = Polynomial.variable("C1")
 C2 = Polynomial.variable("C2")
@@ -254,7 +254,34 @@ def test_twisted_evaluation_routes_agree(dim):
                 assert evaluate_chi(cv, t) == G.evaluate({**point, TWIST: t})
 
 
-def test_verify_binds_power_sums_at_most_once_per_trial(capsys):
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_newton_power_sums_match_evaluated_b_j(dim):
+    """The integer Newton recurrence behind evaluate_chi gives, for every j,
+    the symbolic B_j evaluated at the classes, and for a split bundle the
+    power sum of its degrees."""
+    rng = random.Random(dim)
+    for rank in range(1, 6):
+        vectors = [tuple(rng.randint(-(10**6), 10**6) for _ in range(dim)) for _ in range(3)]
+        vectors += [(-(10**6),) * dim, tuple((-1) ** i * 10**6 for i in range(dim))]
+        for classes in vectors:
+            p = eulerchi._bound_power_sums(ChernVector(dim, rank, classes))
+            point = {chern(i): c for i, c in enumerate(classes, 1)}
+            assert p[0] == rank
+            for j in range(1, dim + 1):
+                assert p[j] == power_sum_recursive(j).evaluate(point), (classes, j)
+        degrees = tuple(rng.randint(-9, 9) for _ in range(rank - 1)) + (-rng.randint(1, 9),)
+        p = eulerchi._bound_power_sums(SplitBundle(dim, degrees).chern_vector())
+        assert list(p) == [power_sum_values(degrees, j) for j in range(dim + 1)], degrees
+
+
+def test_verify_binds_power_sums_at_most_once_per_trial(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("numeric chi reached the symbolic route")
+
+    # verify and eval run on integers alone: no power-sum polynomial is
+    # built and no polynomial is evaluated.
+    monkeypatch.setattr(eulerchi, "_power_sums", unreachable)
+    monkeypatch.setattr(Polynomial, "evaluate", unreachable)
     trials, twist_range = 7, 6
     chi_polynomial.cache_clear()
     chi_twist_polynomial.cache_clear()
@@ -264,12 +291,66 @@ def test_verify_binds_power_sums_at_most_once_per_trial(capsys):
     assert report.ok and report.checks == trials * (2 * twist_range + 2)
     assert info.hits + info.misses == report.checks
     assert info.misses <= trials
-    argv = ["eval", "--rank", "3", "--dim", "6", "--chern", "1,2,3,4,5,6", "--twist", "2"]
+    bundle = SplitBundle(200, (4, -3, 7))
+    chern_arg = ",".join(map(str, bundle.chern_vector().classes))
+    argv = ["eval", "--rank", "3", "--dim", "200", f"--chern={chern_arg}", "--twist", "2"]
     assert cli.main(argv) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == f"{split_chi_twist(bundle, 2)}\n"
     # Neither verify nor eval builds chi or G.
     assert chi_polynomial.cache_info().misses == 0
     assert chi_twist_polynomial.cache_info().misses == 0
+
+
+def _rising_factorial(dim: int) -> list:
+    """Coefficients of x(x+1)...(x+dim): the Stirling numbers [dim+1, k]."""
+    coeffs = [1]
+    for m in range(dim + 1):
+        coeffs = [m * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def _interpolate(values: list) -> list:
+    """Coefficients of t^0..t^N of the polynomial taking values[t] at t = 0..N."""
+    # Newton form on the nodes 0..N (forward differences over m!), expanded
+    # by Horner's rule in the factors (t - m).
+    top = len(values) - 1
+    newton, diffs = [], list(values)
+    for m in range(top + 1):
+        newton.append(Fraction(diffs[0], math.factorial(m)))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = [newton[top]]
+    for m in range(top - 1, -1, -1):
+        coeffs = [b - m * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[0] += newton[m]
+    return coeffs
+
+
+def test_chi_at_twists_0_to_n_recovers_the_chern_vector():
+    """Round trip: chi(F(t)) at t = 0..N fixes p_0..p_N, because
+    q_j(t) = sum_{k>=j} [N+1, k+1] binom(k, j) t^(k-j) has degree N - j and
+    leading coefficient binom(N, j); Newton's identities read backwards,
+    k c_k = sum_{l=1..k} (-1)^(l-1) c_(k-l) p_l, then give back the classes.
+    The Stirling numbers come from x(x+1)...(x+N), not from the library."""
+    rng = random.Random(2008)
+    for _ in range(100):
+        dim, rank = rng.randint(1, 10), rng.randint(1, 5)
+        classes = tuple(rng.randint(-40, 40) for _ in range(dim))
+        cv = ChernVector(dim, rank, classes)
+        values = [evaluate_chi(cv, t) * math.factorial(dim) for t in range(dim + 1)]
+        v = _interpolate(values)
+        assert all(c.denominator == 1 for c in v), cv
+        # The coefficient of t^m is sum_{j<=N-m} p_j [N+1, j+m+1] binom(j+m, j).
+        s = _rising_factorial(dim)
+        p = [None] * (dim + 1)
+        for m in range(dim, -1, -1):
+            top = dim - m
+            rest = v[m] - sum(p[j] * s[j + m + 1] * math.comb(j + m, j) for j in range(top))
+            p[top] = Fraction(rest, math.comb(dim, m))
+        assert p[0] == rank, cv
+        c = [1]
+        for k in range(1, dim + 1):
+            c.append(Fraction(sum((-1) ** (l - 1) * c[k - l] * p[l] for l in range(1, k + 1)), k))
+        assert tuple(c[1:]) == classes, cv
 
 
 def _partition_counts(top: int) -> list:
