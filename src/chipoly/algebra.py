@@ -22,12 +22,17 @@ keyed by names enter through ``from_terms`` (which ``from_json`` calls);
 (not a float or a bool, say), and ``terms``, ``coefficient`` and
 ``constant_term`` give ``(name, exponent)`` monomials and Fractions back.
 
-All renderers (text, LaTeX, JSON) list terms in graded lexicographic
-order, highest total degree first and ties broken by the variable order
-above, so equal polynomials always print identically.  Text and LaTeX
+All renderers (text, LaTeX, JSON) and ``terms`` list terms in graded
+lexicographic order, highest total degree first and ties broken by the
+variable order above, so equal polynomials always print identically.
+A polynomial sorts its monomials into that order once, on first need,
+and keeps the list: every renderer reads it, and ``collect`` hands each
+group its share of it, so nothing is sorted twice.  Text and LaTeX
 share one term loop, which places signs, drops unit coefficients and
 writes constants; the two formats differ only in their tokens: how a
 variable power and a coefficient are written and what joins the factors.
+JSON is written straight from the ordered terms, byte for byte what
+``json.dumps`` makes of the payload ``from_json`` reads.
 
 ``evaluate`` checks that the point binds every occurring variable to an
 int or a Fraction (any other value is rejected), then sums the terms in
@@ -207,6 +212,13 @@ def _text_power(pair: tuple) -> str:
 
 
 @lru_cache(maxsize=4096)
+def _json_power(pair: tuple) -> str:
+    # Names and exponents are ASCII with nothing to escape.
+    slot, e = pair
+    return f'"{_NAME[slot]}": {e}'
+
+
+@lru_cache(maxsize=4096)
 def _latex_power(pair: tuple) -> str:
     slot, e = pair
     name = f"C_{{{slot}}}" if slot < _CHERN_LIMIT else _NAME[slot]
@@ -224,17 +236,20 @@ def _latex_magnitude(num: int, den: int) -> str:
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_den", "_order")
 
     def __init__(self):
         """The zero polynomial; from_terms builds any other from names."""
-        self._terms, self._den = {}, 1
+        self._terms, self._den, self._order = {}, 1, None
 
     @classmethod
-    def _make(cls, nums: dict, den: int = 1) -> "Polynomial":
+    def _make(cls, nums: dict, den: int = 1, order: list | None = None) -> "Polynomial":
         """The polynomial sum(nums[m] * m) / den for den > 0; takes nums.
 
         Zero numerators drop out and den is reduced against the rest.
+        order, if given, is the nonzero monomials of nums in canonical
+        order, which the caller already knows; else it is sorted on
+        first need.
         """
         if 0 in nums.values():
             nums = {m: c for m, c in nums.items() if c}
@@ -244,8 +259,15 @@ class Polynomial:
                 den //= g
                 nums = {m: c // g for m, c in nums.items()}
         poly = object.__new__(cls)
-        poly._terms, poly._den = nums, den
+        poly._terms, poly._den, poly._order = nums, den, order
         return poly
+
+    def _ordered(self) -> list:
+        """The monomials in canonical order, sorted once and then kept."""
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self._terms, key=_order_key)
+        return order
 
     # -- construction -------------------------------------------------
 
@@ -336,7 +358,7 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Iterate ((name, exponent) pairs, coefficient) in canonical display order."""
-        for mono in sorted(self._terms, key=_order_key):
+        for mono in self._ordered():
             yield (tuple((_NAME[s], e) for s, e in mono),
                    Fraction(self._terms[mono], self._den))
 
@@ -355,11 +377,15 @@ class Polynomial:
         """Group terms by the power of one variable.
 
         Returns {exponent: coefficient polynomial} with the variable
-        removed from the coefficients.
+        removed from the coefficients.  The terms are walked in canonical
+        order and each group keeps that order: removing the same power
+        of one variable from monomials of one group changes no
+        comparison between them, so the groups need no sort of their own.
         """
         slot = _slot(var)
+        terms = self._terms
         groups: dict[int, dict[Monomial, int]] = {}
-        for mono, coeff in self._terms.items():
+        for mono in self._ordered():
             k = 0
             rest = []
             for s, e in mono:
@@ -367,8 +393,8 @@ class Polynomial:
                     k = e
                 else:
                     rest.append((s, e))
-            groups.setdefault(k, {})[tuple(rest)] = coeff
-        return {k: Polynomial._make(t, self._den) for k, t in groups.items()}
+            groups.setdefault(k, {})[tuple(rest)] = terms[mono]
+        return {k: Polynomial._make(t, self._den, list(t)) for k, t in groups.items()}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -514,7 +540,7 @@ class Polynomial:
             return "0"
         den = self._den
         chunks = []
-        for mono in sorted(self._terms, key=_order_key):
+        for mono in self._ordered():
             coeff = self._terms[mono]
             num, d = _reduced(abs(coeff), den)
             if not mono:
@@ -537,17 +563,20 @@ class Polynomial:
         return self._render(_latex_power, _latex_magnitude, " ")
 
     def to_json(self) -> str:
-        """Serialize to the stable JSON form (see from_json)."""
-        den = self._den
-        payload = {
-            "vars": self.variables(),
-            "terms": [
-                {"coeff": _text_magnitude(*_reduced(self._terms[mono], den)),
-                 "exps": {_NAME[s]: e for s, e in mono}}
-                for mono in sorted(self._terms, key=_order_key)
-            ],
-        }
-        return json.dumps(payload)
+        """Serialize to the stable JSON form (see from_json).
+
+        The text is written directly from the ordered terms, in
+        json.dumps's default layout: {"vars": [...], "terms": [{"coeff":
+        "-5/6", "exps": {"C1": 2}}, ...]}.
+        """
+        terms, den = self._terms, self._den
+        body = ", ".join(
+            f'{{"coeff": "{_text_magnitude(*_reduced(terms[mono], den))}", '
+            f'"exps": {{{", ".join(map(_json_power, mono))}}}}}'
+            for mono in self._ordered()
+        )
+        names = ", ".join(f'"{name}"' for name in self.variables())
+        return f'{{"vars": [{names}], "terms": [{body}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "Polynomial":

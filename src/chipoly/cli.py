@@ -174,7 +174,19 @@ def _cmd_eval(args) -> int:
             f"for --dim {args.dim}, got {len(args.chern)}"
         )
     cv = ChernVector(args.dim, args.rank, args.chern)
-    print(evaluate_chi(cv, args.twist))
+    value = evaluate_chi(cv, args.twist)
+    # CPython 3.11+ refuses to write an int of more than 4300 digits as
+    # text; the exact value is the output, so lift the limit for this print.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        print(value)
+        return 0
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        print(value)
+    finally:
+        set_limit(limit)
     return 0
 
 

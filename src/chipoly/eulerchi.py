@@ -10,7 +10,9 @@ where [.,.] are unsigned Stirling numbers of the first kind and B_k is
 the k-th power sum written in the elementary-symmetric variables C_i
 (which stand in for the Chern classes).  Twisting by O(t) shifts every
 Chern root by t, so B_k becomes sum_j binom(k, j) T^(k-j) B_j and chi(F(t))
-is the same sum over the same B_j with weights q_j in T (see _weights).
+is the same sum over the same B_j with weights q_j in T: the coefficients
+of (x + 1 + T)(x + 2 + T)...(x + N + T), since
+sum_k [N+1, k+1] x^k = (x + 1)(x + 2)...(x + N) (see _weights).
 At a concrete Chern vector B_j is the power sum p_j of the Chern roots,
 which Newton's identities give from the classes in plain integers, so
 evaluate_chi takes the sum at an integer twist without building any
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import RANK, TWIST, Polynomial, _check_int, chern
-from .stirling import _TABLE
+from .algebra import RANK, TWIST, Polynomial, _check_int, _slot, chern
 from .symmfun import PowerSumCache, power_sum_matrix, power_sum_recursive
 
 METHODS = ("matrix", "recursive")
@@ -64,14 +65,18 @@ def _weights(dim: int, twist) -> tuple:
 
     q_j weighs B_j in N! * chi(F(twist)): B_k of the roots shifted by twist
     is sum_j binom(k, j) twist^(k-j) B_j.  So the q_j are the coefficients
-    of R(x + twist), R(x) = sum_k [N+1, k+1] x^k, shifted one synthetic
-    division at a time.  twist is an integer, or the variable T for G.
+    of R(x + twist), where R(x) = sum_k [N+1, k+1] x^k = (x + 1)...(x + N)
+    is the rising factorial that defines the Stirling numbers.  The
+    product of the N factors x + m + twist gives them in O(N^2) steps,
+    with no Stirling row.  twist is an integer, or the variable T for G.
     """
-    q = list(_TABLE.row(dim + 1)[1:])
-    for low in range(dim):
-        acc = q[dim]
-        for k in range(dim - 1, low - 1, -1):
-            acc = q[k] = q[k] + twist * acc
+    q = [1]
+    for m in range(1, dim + 1):  # q *= x + m + twist, in place from the top
+        shift = twist + m
+        q.append(q[-1])
+        for i in range(m - 1, 0, -1):
+            q[i] = q[i - 1] + shift * q[i]
+        q[0] = shift * q[0]
     return tuple(q)
 
 
@@ -217,11 +222,20 @@ def prefactor_parts(poly: Polynomial, dim: int) -> tuple[Polynomial, Polynomial]
 
     Returns (bracket, tail) with poly == bracket / dim! + tail, where the
     tail collects the constant and pure-rank terms.  This is the shape in
-    which the polynomials are usually displayed.
+    which the polynomials are usually displayed.  Both parts are read off
+    poly's numerators and keep its canonical order, the bracket in one
+    pass over that order: dropping terms and scaling them by dim! move
+    none of the rest.
     """
     _check_int(dim, "dimension", 1)
-    tail = Polynomial.constant(poly.constant_term()) + poly.coefficient(
-        {RANK: 1}
-    ) * Polynomial.variable(RANK)
-    bracket = (poly - tail) * math.factorial(dim)
-    return bracket, tail
+    terms, den = poly._terms, poly._den
+    tail_monos = (((_slot(RANK), 1),), ())  # n, then the constant: canonical order
+    tail = {m: terms[m] for m in tail_monos if m in terms}
+    # Cancel dim! against den first; for chi den divides dim!, so the
+    # bracket's numerators need no reduction after scaling.
+    fact = math.factorial(dim)
+    g = math.gcd(fact, den)
+    scale = fact // g
+    bracket = {m: terms[m] * scale for m in poly._ordered() if m not in tail_monos}
+    return (Polynomial._make(bracket, den // g, list(bracket)),
+            Polynomial._make(tail, den, list(tail)))

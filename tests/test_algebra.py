@@ -586,3 +586,54 @@ def test_integer_core_matches_fraction_reference(a_terms, b_terms, scalar, power
         expected = _ref_mul(expected, a)
     _assert_canonical(p**power, expected)
     assert Polynomial.sum_of_products([(p, q), (q, scalar)], 6) == (p * q + q * scalar) / 6
+
+
+# -- the cached canonical order ---------------------------------------------
+
+def test_second_render_sorts_nothing(monkeypatch):
+    """The canonical order is sorted once per polynomial; later renders reuse it."""
+    from chipoly import algebra
+
+    p = (C1 + 2 * C2 - T + Polynomial.variable(RANK) - Fraction(1, 3)) ** 3
+    calls = []
+    key = algebra._order_key
+    monkeypatch.setattr(algebra, "_order_key", lambda mono: calls.append(mono) or key(mono))
+    first = (p.to_text(), p.to_json(), p.to_latex(), list(p.terms()))
+    assert len(calls) == len(p)
+    calls.clear()
+    assert (p.to_text(), p.to_json(), p.to_latex(), list(p.terms())) == first
+    assert calls == []
+
+
+# Names across the slot range: low and huge Chern indices, then T, X and n.
+_JSON_NAMES = ["C1", "C2", "C10", "C123456789", f"C{2**62 - 1}", TWIST, AUX, RANK]
+_json_terms = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from(_JSON_NAMES), st.integers(0, 4), max_size=4),
+        st.one_of(st.integers(-10**30, 10**30),
+                  st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)),
+    ),
+    max_size=6,
+)
+
+
+def _name_order_key(term):
+    """Graded lex on (name, exponent) pairs: C1 < C2 < ... < T < X < n."""
+    mono, _ = term
+    rank = {TWIST: 2**62, AUX: 2**62 + 1, RANK: 2**62 + 2}
+    flat = tuple(x for name, e in mono for x in (rank.get(name) or int(name[1:]), -e))
+    return (-sum(e for _, e in mono), flat)
+
+
+@settings(deadline=None)
+@given(_json_terms)
+def test_to_json_matches_json_dumps_of_the_payload(terms):
+    """to_json writes the text json.dumps makes of the documented payload."""
+    p = Polynomial.from_terms(terms)
+    payload = {
+        "vars": p.variables(),
+        "terms": [{"coeff": str(c), "exps": dict(mono)}
+                  for mono, c in sorted(p.terms(), key=_name_order_key)],
+    }
+    assert p.to_json() == json.dumps(payload)
+    assert Polynomial.from_json(p.to_json()) == p

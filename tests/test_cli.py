@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from chipoly.algebra import Polynomial
 from chipoly.bench import BenchReport, MethodTiming
 from chipoly.cli import main
-from chipoly.eulerchi import chi_polynomial
+from chipoly.eulerchi import ChernVector, chi_polynomial, evaluate_chi
 from chipoly.oracle import Mismatch, VerifyReport
 from chipoly.symmfun import power_sum_recursive
 
@@ -170,6 +170,36 @@ def test_eval_with_twist(capsys):
                                     "--chern", "0,0", "--twist=-1"])
     assert code == 0
     assert out.strip() == "0"
+
+
+def test_eval_prints_values_past_the_int_digit_limit(capsys):
+    """A value of about 6000 digits prints exactly, and the limit comes back.
+
+    CPython 3.11 and later limit int-to-text conversion, to 4300 digits
+    by default; the test sets 4321 so that the restored value is its own.
+    """
+    nines = "9" * 3000
+    argv = ["eval", "--rank", "2", "--dim", "2", f"--chern={nines},0"]
+    if hasattr(sys, "set_int_max_str_digits"):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        try:
+            code, out, _ = run_cli(capsys, argv)
+            assert sys.get_int_max_str_digits() == 4321
+        finally:
+            sys.set_int_max_str_digits(before)
+    else:
+        code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    value = evaluate_chi(ChernVector(2, 2, (int(nines), 0)))
+    text = out.strip()
+    assert value.denominator == 1 and len(text) > 4300
+    # Read back in chunks of 1000 digits, each under the limit.
+    parsed = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start : start + 1000]
+        parsed = parsed * 10 ** len(chunk) + int(chunk)
+    assert parsed == value
 
 
 def test_eval_rejects_symbolic_rank(capsys):

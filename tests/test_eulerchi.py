@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chipoly import cli, eulerchi
+from chipoly import algebra, cli, eulerchi
 from chipoly.algebra import RANK, TWIST, Polynomial, chern
 from chipoly.eulerchi import (
     ChernVector,
@@ -16,6 +16,7 @@ from chipoly.eulerchi import (
     twisted_chern_polynomial,
 )
 from chipoly.oracle import SplitBundle, split_chi_twist, verify
+from chipoly.stirling import unsigned_stirling1
 from chipoly.symmfun import power_sum_recursive, power_sum_values
 
 C1 = Polynomial.variable("C1")
@@ -416,3 +417,97 @@ def test_rank_below_dimension_still_consistent():
             cv = ChernVector(2, 2, (a + b, a * b))
             for t in range(-2, 3):
                 assert evaluate_chi(cv, t) == line(a + t) + line(b + t)
+
+
+# -- the cached canonical order and the bracket split ------------------------
+
+def _fresh_sort(poly):
+    return sorted(poly._terms, key=algebra._order_key)
+
+
+@pytest.mark.parametrize("rank", [None, 3])
+def test_inherited_orders_equal_a_fresh_sort(rank):
+    """The orders prefactor_parts and collect hand on are the canonical ones."""
+    for dim in range(1, 13):
+        for poly in (chi_polynomial(rank, dim), chi_twist_polynomial(rank, dim)):
+            assert poly._ordered() == _fresh_sort(poly)
+            for part in prefactor_parts(poly, dim):
+                assert part._order is not None and part._order == _fresh_sort(part)
+            groups = list(poly.collect(TWIST).values())
+            groups += prefactor_parts(poly, dim)[0].collect(TWIST).values()
+            for group in groups:
+                assert group._order is not None and group._order == _fresh_sort(group)
+
+
+def test_rendering_chi_again_sorts_nothing(monkeypatch):
+    """Once chi is sorted, neither the bracket nor its T-groups sort again."""
+    poly = Polynomial.from_json(chi_twist_polynomial(None, 6).to_json())  # not yet sorted
+    calls = []
+    key = algebra._order_key
+    monkeypatch.setattr(algebra, "_order_key", lambda mono: calls.append(mono) or key(mono))
+    first = [cli.format_chi_text(poly, 6, twisted) for twisted in (False, True)]
+    assert len(calls) > len(poly)
+    calls.clear()
+    assert [cli.format_chi_text(poly, 6, twisted) for twisted in (False, True)] == first
+    # Only the T^k factors written after each group are new, one term each.
+    t_slot = algebra._slot(TWIST)
+    assert calls and all(len(mono) == 1 and mono[0][0] == t_slot for mono in calls)
+
+
+def test_prefactor_parts_builds_only_its_two_results(monkeypatch):
+    poly = chi_polynomial(None, 8)
+    made = []
+    make = Polynomial._make.__func__
+    monkeypatch.setattr(Polynomial, "_make",
+                        classmethod(lambda cls, *a: made.append(a) or make(cls, *a)))
+    prefactor_parts(poly, 8)
+    assert len(made) == 2
+
+
+_SPLIT_CASES = [
+    chi_polynomial(None, 5),
+    chi_twist_polynomial(2, 4),
+    # denominators 2, 7 and 11: 7 and 11 divide none of 1!, 3!, 6!, so the bracket is not integral
+    Fraction(1, 7) * C1**2 - Fraction(5, 2) * n + Fraction(3, 11),
+    Polynomial.constant(Fraction(4, 9)),
+    n * Fraction(-2, 5),
+    T**3 - C2 * n + 4 * n**2 + 1,
+    Polynomial.zero(),
+]
+
+
+@pytest.mark.parametrize("poly", _SPLIT_CASES, ids=lambda p: p.to_text()[:30])
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_prefactor_parts_matches_subtract_and_scale(poly, dim):
+    tail = Polynomial.constant(poly.constant_term()) + poly.coefficient({RANK: 1}) * n
+    bracket = (poly - tail) * math.factorial(dim)
+    assert prefactor_parts(poly, dim) == (bracket, tail)
+    got_bracket, got_tail = prefactor_parts(poly, dim)
+    assert (got_bracket._den, got_bracket._terms) == (bracket._den, bracket._terms)
+    assert (got_tail._den, got_tail._terms) == (tail._den, tail._terms)
+    for part in (got_bracket, got_tail):
+        assert part._order == _fresh_sort(part)
+
+
+# -- the weights as a product of linear factors ------------------------------
+
+@pytest.mark.parametrize("dim", range(1, 41))
+def test_untwisted_weights_are_stirling_numbers(dim):
+    assert list(eulerchi._weights(dim, 0)) == [
+        unsigned_stirling1(dim + 1, k + 1) for k in range(dim + 1)
+    ]
+
+
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_twisted_weights_are_shifted_stirling_sums(dim):
+    """q_j(t) = sum_{k>=j} [N+1, k+1] binom(k, j) t^(k-j), from the paper's Stirling numbers."""
+    stirling = [unsigned_stirling1(dim + 1, k + 1) for k in range(dim + 1)]
+
+    def expected(t):
+        return [sum(stirling[k] * math.comb(k, j) * t ** (k - j) for k in range(j, dim + 1))
+                for j in range(dim + 1)]
+
+    for t in range(-5, 6):
+        assert list(eulerchi._weights(dim, t)) == expected(t)
+    if dim <= 8:
+        assert list(eulerchi._weights(dim, T)) == expected(T)
