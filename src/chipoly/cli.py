@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from operator import methodcaller
 from typing import NamedTuple
@@ -31,14 +32,37 @@ from .stirling import StirlingTable
 from .symmfun import power_sum_matrix, power_sum_recursive
 
 
+# Text int() reads, whitespace, sign and underscores included.  CPython
+# 3.11+ refuses such text of more than sys.get_int_max_str_digits() digits,
+# which guards input from outside; the refusal then gives the digit count
+# and the limit, not the value.
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _parse_int(text: str, refusal: str) -> int:
+    """int(text), else an argparse error: refusal, or the digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _INT_TEXT.fullmatch(text):
+            raise argparse.ArgumentTypeError(refusal) from None
+    digits = sum(map(str.isdecimal, text))
+    raise argparse.ArgumentTypeError(
+        f"the value has {digits} digits, over the interpreter's "
+        f"{sys.get_int_max_str_digits()}-digit limit for reading integers"
+    )
+
+
+def _int_arg(text: str) -> int:
+    """argparse type for an integer flag, with argparse's own refusal."""
+    return _parse_int(text, f"invalid int value: {text!r}")
+
+
 def _rank_arg(text: str):
     """argparse type: 'n' (None, the symbolic rank) or an integer."""
     if text == "n":
         return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'n', got {text!r}") from None
+    return _parse_int(text, f"expected an integer or 'n', got {text!r}")
 
 
 def _methods_arg(text: str) -> tuple:
@@ -46,12 +70,8 @@ def _methods_arg(text: str) -> tuple:
 
 
 def _chern_arg(text: str) -> tuple:
-    try:
-        return tuple(int(p.strip()) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        )
+    refusal = f"expected comma-separated integers, got {text!r}"
+    return tuple(_parse_int(p, refusal) for p in text.split(","))
 
 
 def format_stirling_rows(rows) -> str:
@@ -218,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("stirling", help="print the unsigned (or signed) Stirling triangle")
-    p.add_argument("--rows", type=int, required=True, help="last row N to print")
+    p.add_argument("--rows", type=_int_arg, required=True, help="last row N to print")
     p.add_argument("--signed", action="store_true", help="signed numbers s(N, m)")
     p.set_defaults(handler=_cmd_stirling, parser=p)
 
     p = subs.add_parser("powersum", help="print the power sum B_r in the C variables")
-    p.add_argument("--r", type=int, required=True, help="power-sum index")
+    p.add_argument("--r", type=_int_arg, required=True, help="power-sum index")
     p.add_argument("--method", choices=METHODS, default="recursive")
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
     p.set_defaults(handler=_cmd_powersum, parser=p)
@@ -231,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("emit-chi", help="print the chi polynomial for rank/dim")
     p.add_argument("--rank", type=_rank_arg, required=True,
                    help="sheaf rank, or 'n' to keep it symbolic")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--method", choices=METHODS, default="recursive")
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
     p.set_defaults(handler=_cmd_emit_chi, parser=p)
@@ -239,37 +259,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("emit-chi-twist", help="print the twisted chi polynomial")
     p.add_argument("--rank", type=_rank_arg, required=True,
                    help="sheaf rank, or 'n' to keep it symbolic")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
     p.set_defaults(handler=_cmd_emit_chi_twist, parser=p)
 
     p = subs.add_parser("eval", help="evaluate chi at a concrete Chern vector")
     p.add_argument("--rank", type=_rank_arg, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--chern", type=_chern_arg, required=True,
                    help="comma-separated integers c1,...,cN")
-    p.add_argument("--twist", type=int, default=None,
+    p.add_argument("--twist", type=_int_arg, default=None,
                    help="also twist by O(t) before evaluating")
     p.set_defaults(handler=_cmd_eval, parser=p)
 
     p = subs.add_parser("verify", help="cross-check against split-bundle counts")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--max-a", type=int, default=4)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--twist-range", type=int, default=4)
+    p.add_argument("--dim", type=_int_arg, required=True)
+    p.add_argument("--rank", type=_int_arg, required=True)
+    p.add_argument("--trials", type=_int_arg, default=50)
+    p.add_argument("--max-a", type=_int_arg, default=4)
+    p.add_argument("--seed", type=_int_arg, default=7)
+    p.add_argument("--twist-range", type=_int_arg, default=4)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify, parser=p)
 
     p = subs.add_parser("bench", help="time the two power-sum routes")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--methods", type=_methods_arg, default=METHODS,
                    help="comma-separated subset of matrix,recursive")
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--repetitions", type=_int_arg, default=3)
     p.add_argument("--timeout", type=float, default=None,
                    help="per-run wall-clock limit in seconds")
-    p.add_argument("--matrix-cutoff", type=int, default=DEFAULT_MATRIX_CUTOFF)
+    p.add_argument("--matrix-cutoff", type=_int_arg, default=DEFAULT_MATRIX_CUTOFF)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_bench, parser=p)
 

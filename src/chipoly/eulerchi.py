@@ -14,11 +14,11 @@ is the same sum over the same B_j with weights q_j in T: the coefficients
 of (x + 1 + T)(x + 2 + T)...(x + N + T), since
 sum_k [N+1, k+1] x^k = (x + 1)(x + 2)...(x + N) (see _weights).
 At a concrete Chern vector B_j is the power sum p_j of the Chern roots,
-which Newton's identities give from the classes in plain integers, so
-evaluate_chi takes the sum at an integer twist without building any
-polynomial.  The paper's substitution C_i -> sum_j
-binom(n-i+j, j) T^j C_{i-j}, C_0 = 1, is kept as twisted_chern_polynomial,
-the independent check on that shift.
+which Newton's identities give from the classes in plain integers; a
+ChernVector computes them once, when it is built, so evaluate_chi takes
+the sum at an integer twist without building any polynomial.  The
+paper's substitution C_i -> sum_j binom(n-i+j, j) T^j C_{i-j}, C_0 = 1,
+is kept as twisted_chern_polynomial, the independent check on that shift.
 Everything here is exact over Q; the rank may be a specific integer or
 left symbolic as the variable n.
 """
@@ -34,8 +34,8 @@ from .algebra import RANK, TWIST, Polynomial, _check_int, _slot, chern
 from .symmfun import PowerSumCache, power_sum_matrix, power_sum_recursive
 
 METHODS = ("matrix", "recursive")
-# Entries kept by each result cache below; cached polynomials grow with
-# the partition counts, so the caches are bounded.
+# Entries kept by each of the chi and G caches below; cached polynomials
+# grow with the partition counts, so the caches are bounded.
 CACHE_SIZE = 64
 # Entries kept of _weights, N+1 integers each: every twist of verify's
 # window at one dim up to --twist-range 511, so a trial pays no new weights.
@@ -165,9 +165,31 @@ chi_twist_polynomial.cache_info = _cached_chi_twist.cache_info
 chi_twist_polynomial.cache_clear = _cached_chi_twist.cache_clear
 
 
+def _newton_power_sums(rank: int, classes: tuple) -> tuple:
+    """(rank, p_1..p_N): the power sums p_0..p_N of the Chern roots.
+
+    Newton's identities in plain integers, O(N^2) steps (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.2):
+    p_k = sum_{l<k} (-1)^(l-1) c_l p_(k-l) + (-1)^(k-1) k c_k.  The symbolic
+    B_k come from the same recurrence, and a test checks each p_k against
+    B_k evaluated at the classes.
+    """
+    signed = [c if l % 2 else -c for l, c in enumerate(classes, 1)]
+    p = [rank]
+    for k in range(1, len(classes) + 1):
+        p.append(k * signed[k - 1] + sum(s * q for s, q in zip(signed, p[k - 1 : 0 : -1])))
+    return tuple(p)
+
+
 @dataclass(frozen=True)
 class ChernVector:
-    """Chern classes of a rank `rank` sheaf on projective `dim`-space."""
+    """Chern classes of a rank `rank` sheaf on projective `dim`-space.
+
+    Once the fields are checked, the vector keeps the power sums p_0..p_N
+    of its Chern roots as the private attribute _power_sums, which
+    evaluate_chi reads; it is not a field, so equality, hashing and repr
+    see only dim, rank and classes.
+    """
 
     dim: int
     rank: int
@@ -184,23 +206,7 @@ class ChernVector:
         for c in classes:
             _check_int(c, "Chern classes")
         object.__setattr__(self, "classes", classes)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _bound_power_sums(cv: ChernVector) -> tuple:
-    """(rank, p_1..p_N): the power sums p_0..p_N of cv's Chern roots.
-
-    Newton's identities in plain integers, O(N^2) steps (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.2):
-    p_k = sum_{l<k} (-1)^(l-1) c_l p_(k-l) + (-1)^(k-1) k c_k.  The symbolic
-    B_k come from the same recurrence, and a test checks each p_k against
-    B_k evaluated at the classes.
-    """
-    signed = [c if l % 2 else -c for l, c in enumerate(cv.classes, 1)]
-    p = [cv.rank]
-    for k in range(1, cv.dim + 1):
-        p.append(k * signed[k - 1] + sum(s * q for s, q in zip(signed, p[k - 1 : 0 : -1])))
-    return tuple(p)
+        object.__setattr__(self, "_power_sums", _newton_power_sums(self.rank, classes))
 
 
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
@@ -208,12 +214,12 @@ def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
 
     Returns (1/N!) * sum_j q_j(t) p_j with t = 0 when there is no twist:
     the weights of _weights times the power sums p_j of the Chern roots,
-    which _bound_power_sums computes once per Chern vector (up to
-    CACHE_SIZE vectors are kept).  The sum is the one chi and G are
-    assembled from, with p_j in place of B_j, so no polynomial is built.
+    which cv computed once when it was built.  The sum is the one chi and
+    G are assembled from, with p_j in place of B_j, so no polynomial is
+    built.
     """
     t = 0 if twist is None else _check_int(twist, "twist")
-    sums = _bound_power_sums(cv)
+    sums = cv._power_sums
     return Fraction(sum(q * p for q, p in zip(_weights(cv.dim, t), sums)), math.factorial(cv.dim))
 
 

@@ -202,6 +202,39 @@ def test_eval_prints_values_past_the_int_digit_limit(capsys):
     assert parsed == value
 
 
+_PAST_LIMIT = "9" * 4301
+_EVAL = ["eval", "--rank", "2", "--dim", "2"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="CPython 3.11+ limits reading ints from text")
+@pytest.mark.parametrize("argv, message", [
+    (_EVAL + [f"--chern={_PAST_LIMIT},0"],
+     "argument --chern: the value has 4301 digits, over the interpreter's "
+     "4300-digit limit for reading integers"),
+    (_EVAL + ["--chern=1,2", "--twist", _PAST_LIMIT],
+     "argument --twist: the value has 4301 digits, over the interpreter's "
+     "4300-digit limit for reading integers"),
+    (_EVAL + ["--chern=1,,2"], "argument --chern: expected comma-separated integers, got '1,,2'"),
+    (_EVAL + ["--chern=1,2", "--twist", "abc"], "argument --twist: invalid int value: 'abc'"),
+], ids=["chern-past-limit", "twist-past-limit", "chern-not-integer", "twist-not-integer"])
+def test_integer_flags_name_the_digit_limit(capsys, argv, message):
+    """A value of more than 4300 digits exits 2 with a message that names
+    the limit and does not echo the value; text that is no integer keeps
+    its own message."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"chipoly eval: error: {message}"
+    assert "9" * 100 not in err
+
+
 def test_eval_rejects_symbolic_rank(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--rank", "n", "--dim", "2", "--chern", "1,2"])

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -257,46 +259,69 @@ def test_twisted_evaluation_routes_agree(dim):
 
 @pytest.mark.parametrize("dim", range(1, 21))
 def test_newton_power_sums_match_evaluated_b_j(dim):
-    """The integer Newton recurrence behind evaluate_chi gives, for every j,
-    the symbolic B_j evaluated at the classes, and for a split bundle the
-    power sum of its degrees."""
+    """The power sums a Chern vector computes when it is built, which
+    evaluate_chi reads, are for every j the symbolic B_j evaluated at the
+    classes, and for a split bundle the power sums of its degrees."""
     rng = random.Random(dim)
     for rank in range(1, 6):
         vectors = [tuple(rng.randint(-(10**6), 10**6) for _ in range(dim)) for _ in range(3)]
         vectors += [(-(10**6),) * dim, tuple((-1) ** i * 10**6 for i in range(dim))]
         for classes in vectors:
-            p = eulerchi._bound_power_sums(ChernVector(dim, rank, classes))
+            p = ChernVector(dim, rank, classes)._power_sums
             point = {chern(i): c for i, c in enumerate(classes, 1)}
-            assert p[0] == rank
+            assert p[0] == rank and len(p) == dim + 1
             for j in range(1, dim + 1):
                 assert p[j] == power_sum_recursive(j).evaluate(point), (classes, j)
         degrees = tuple(rng.randint(-9, 9) for _ in range(rank - 1)) + (-rng.randint(1, 9),)
-        p = eulerchi._bound_power_sums(SplitBundle(dim, degrees).chern_vector())
+        p = SplitBundle(dim, degrees).chern_vector()._power_sums
         assert list(p) == [power_sum_values(degrees, j) for j in range(dim + 1)], degrees
 
 
-def test_verify_binds_power_sums_at_most_once_per_trial(capsys, monkeypatch):
+def test_chern_vector_shape_ignores_its_power_sums():
+    """The power sums are no field: equality, hashing, repr and the fields
+    are those of (dim, rank, classes), and a copy's sums match its classes."""
+    cv = ChernVector(2, 2, [5, 6])
+    assert cv == ChernVector(2, 2, (5, 6)) and hash(cv) == hash(ChernVector(2, 2, (5, 6)))
+    assert repr(cv) == "ChernVector(dim=2, rank=2, classes=(5, 6))"
+    assert [f.name for f in dataclasses.fields(cv)] == ["dim", "rank", "classes"]
+    assert dataclasses.asdict(cv) == {"dim": 2, "rank": 2, "classes": (5, 6)}
+    assert cv._power_sums == (2, 5, 13)  # p_2 = c_1^2 - 2 c_2
+    replaced = dataclasses.replace(cv, classes=(1, -4))
+    assert replaced._power_sums == (2, 1, 9)
+    restored = pickle.loads(pickle.dumps(replaced))
+    assert restored == replaced and restored._power_sums == (2, 1, 9)
+    assert evaluate_chi(restored, 3) == evaluate_chi(ChernVector(2, 2, (1, -4)), 3)
+
+
+def test_verify_and_eval_run_newton_once_per_chern_vector(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("numeric chi reached the symbolic route")
+
+    runs = []
+    newton = eulerchi._newton_power_sums
+
+    def counted(rank, classes):
+        runs.append(classes)
+        return newton(rank, classes)
 
     # verify and eval run on integers alone: no power-sum polynomial is
     # built and no polynomial is evaluated.
     monkeypatch.setattr(eulerchi, "_power_sums", unreachable)
     monkeypatch.setattr(Polynomial, "evaluate", unreachable)
+    monkeypatch.setattr(eulerchi, "_newton_power_sums", counted)
     trials, twist_range = 7, 6
     chi_polynomial.cache_clear()
     chi_twist_polynomial.cache_clear()
-    eulerchi._bound_power_sums.cache_clear()
     report = verify(6, 3, trials, 60000, 5, twist_range)
-    info = eulerchi._bound_power_sums.cache_info()
     assert report.ok and report.checks == trials * (2 * twist_range + 2)
-    assert info.hits + info.misses == report.checks
-    assert info.misses <= trials
+    assert len(runs) == trials  # one Chern vector per trial, none per check
     bundle = SplitBundle(200, (4, -3, 7))
     chern_arg = ",".join(map(str, bundle.chern_vector().classes))
     argv = ["eval", "--rank", "3", "--dim", "200", f"--chern={chern_arg}", "--twist", "2"]
+    runs.clear()
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == f"{split_chi_twist(bundle, 2)}\n"
+    assert len(runs) == 1
     # Neither verify nor eval builds chi or G.
     assert chi_polynomial.cache_info().misses == 0
     assert chi_twist_polynomial.cache_info().misses == 0
