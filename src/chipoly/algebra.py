@@ -10,9 +10,12 @@ Inside, a variable is an integer slot whose natural order is that order:
 ``Ck`` is slot k and ``T``, ``X``, ``n`` take the three slots after every
 Chern slot (Chern indices stay below 2**62).  A monomial is a tuple of
 ``(slot, exponent)`` pairs, exponents positive, sorted by slot; ``()`` is
-the constant monomial.  A polynomial maps monomials to nonzero integer
+the constant monomial.  Monomials with disjoint slot ranges multiply by
+concatenation; otherwise one's variables enter the other one at a time,
+each by bisection.  A polynomial maps monomials to nonzero integer
 numerators over one positive common denominator that shares no factor
-with all of them, so equal polynomials have equal state and hashes.
+with all of them, so equal polynomials have equal state and hashes, and
+a constant (zero too) equals and hashes like its int or Fraction value.
 Arithmetic, including ``sum_of_products`` (many products added up in one
 integer dict, which builds the power sums and chi), runs on these
 integers alone.  Names and Fractions appear only at the edges.  Terms
@@ -150,7 +153,8 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not b:
         return a
     # Disjoint slot ranges (a Chern monomial times a power of T, say)
-    # concatenate; a single variable is inserted by bisection.
+    # concatenate; a single variable is inserted by bisection, and any
+    # other monomial is folded in one variable at a time.
     if a[-1][0] < b[0][0]:
         return a + b
     if b[-1][0] < a[0][0]:
@@ -163,25 +167,9 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         if b[i][0] == slot:
             return b[:i] + ((slot, b[i][1] + e),) + b[i + 1 :]
         return b[:i] + a + b[i:]
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        sa, ea = a[i]
-        sb, eb = b[j]
-        if sa == sb:
-            out.append((sa, ea + eb))
-            i += 1
-            j += 1
-        elif sa < sb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    for pair in a:
+        b = _mono_mul((pair,), b)
+    return b
 
 
 def _reduced(num: int, den: int) -> tuple:
@@ -413,7 +401,10 @@ class Polynomial:
         return self._den == p._den and self._terms == p._terms
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._terms.items())))
+        terms = self._terms
+        if not terms or (len(terms) == 1 and () in terms):
+            return hash(Fraction(terms.get((), 0), self._den))
+        return hash((self._den, frozenset(terms.items())))
 
     def _plus(self, p: "Polynomial", sign: int) -> "Polynomial":
         den = math.lcm(self._den, p._den)
@@ -434,7 +425,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._make({m: -c for m, c in self._terms.items()}, self._den)
+        return self * -1
 
     def __sub__(self, other) -> "Polynomial":
         p = self._coerce(other)
@@ -514,7 +505,7 @@ class Polynomial:
             if var not in point:
                 raise ValueError(f"no value for variable {var} in evaluation point")
             x = point[var]
-            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+            if not _is_scalar(x):
                 raise ValueError(f"value for variable {var} must be an int or Fraction, got {x!r}")
             values[var] = x
         # Integer points stay in plain integers until the final division;
@@ -584,7 +575,10 @@ class Polynomial:
 
         Any malformed payload raises ValueError.
         """
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("polynomial JSON is nested too deeply to parse") from None
         if not isinstance(payload, dict) or not isinstance(payload.get("terms"), list):
             raise ValueError("polynomial JSON must be an object with a 'terms' list")
         names = payload.get("vars", [])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 # multiprocessing, platform and statistics load where used: no other command needs them.
 
-from .algebra import Polynomial, _check_int
+from .algebra import Polynomial, _check_int, _is_scalar
 from .eulerchi import METHODS, build_chi_polynomial
 from .symmfun import PowerSumCache
 
@@ -148,8 +148,9 @@ def run_bench(
     _check_int(dim, "dimension", 1)
     _check_int(repetitions, "repetitions", 1)
     _check_int(matrix_cutoff, "matrix cutoff", 1)
-    if timeout is not None and not 0 < timeout <= _MAX_TIMEOUT:
-        raise ValueError(f"timeout must be in (0, {_MAX_TIMEOUT}] seconds, got {timeout}")
+    seconds = _is_scalar(timeout) or isinstance(timeout, float)  # not a bool or a string
+    if timeout is not None and not (seconds and 0 < timeout <= _MAX_TIMEOUT):
+        raise ValueError(f"timeout must be in (0, {_MAX_TIMEOUT}] seconds, got {timeout!r}")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")

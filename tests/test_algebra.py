@@ -222,6 +222,24 @@ def test_from_json_rejects_malformed_payloads(payload):
         Polynomial.from_json(json.dumps(payload))
 
 
+def test_from_json_refuses_deep_nesting():
+    # json.loads recurses once per bracket; past the recursion limit it
+    # would raise RecursionError, not the promised ValueError.
+    for text in ("[" * 100000, '{"terms": ' * 100000):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            Polynomial.from_json(text)
+
+
+def test_constants_hash_like_their_values():
+    """A constant polynomial equals its value, so it hashes like it too."""
+    for value in (3, -7, Fraction(1, 2), Fraction(-5, 3), 0, 10**40):
+        p = Polynomial.constant(value)
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+    assert hash(Polynomial.zero()) == hash(0) and len({Polynomial.zero(), 0}) == 1
+    assert hash(C1 - C1) == hash(0)
+
+
 def test_bools_are_not_integers():
     with pytest.raises(ValueError, match="coefficient"):
         Polynomial.from_json('{"terms": [{"coeff": true, "exps": {"C1": 1}}]}')
@@ -565,8 +583,11 @@ def _assert_canonical(p, ref):
 
 
 mixed_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+# Low and huge Chern slots next to T, X and n, so products meet disjoint,
+# single-variable and overlapping many-variable monomials alike.
+_CORE_NAMES = ("C1", "C2", "C3", "C7", f"C{2**62 - 1}", TWIST, AUX, RANK)
 term_lists = st.lists(
-    st.tuples(st.fixed_dictionaries({v: exponents for v in ("C1", "C3", "T", "n")}), mixed_coeffs),
+    st.tuples(st.dictionaries(st.sampled_from(_CORE_NAMES), exponents), mixed_coeffs),
     max_size=5,
 )
 

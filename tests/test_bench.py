@@ -76,7 +76,9 @@ def test_bench_validation():
             run_bench(3, methods=("matrix",), matrix_cutoff=cutoff)
     # 10**6 s is the maximum; from 2147484 s on, Connection.poll's millisecond
     # count overflows a C int.
-    for timeout in (0, -1, float("nan"), float("inf"), 10**6 + 1, 2147484, 1e10, 9223372036):
+    # A bool or a string is not a number of seconds.
+    for timeout in (0, -1, float("nan"), float("inf"), 10**6 + 1, 2147484, 1e10, 9223372036,
+                    True, "5"):
         with pytest.raises(ValueError):
             run_bench(3, timeout=timeout)
 

@@ -202,6 +202,18 @@ def test_eval_prints_values_past_the_int_digit_limit(capsys):
     assert parsed == value
 
 
+def test_eval_prints_without_the_digit_limit_hook(capsys, monkeypatch):
+    """Interpreters before CPython 3.10.7 have no sys.set_int_max_str_digits;
+    eval then prints the value straight away."""
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    nines = "9" * 100
+    code, out, _ = run_cli(capsys, ["eval", "--rank", "2", "--dim", "2", f"--chern={nines},0",
+                                    "--twist", "3"])
+    assert code == 0
+    assert out == f"{evaluate_chi(ChernVector(2, 2, (int(nines), 0)), 3)}\n"
+    assert len(out) > 200
+
+
 _PAST_LIMIT = "9" * 4301
 _EVAL = ["eval", "--rank", "2", "--dim", "2"]
 
