@@ -251,10 +251,15 @@ class Polynomial:
         return poly
 
     def _ordered(self) -> list:
-        """The monomials in canonical order, sorted once and then kept."""
+        """The monomials in canonical order, sorted once and then kept.
+
+        A polynomial of one term (a power of T written after a group, say)
+        is in order as it stands.
+        """
         order = self._order
         if order is None:
-            order = self._order = sorted(self._terms, key=_order_key)
+            terms = self._terms
+            order = self._order = sorted(terms, key=_order_key) if len(terms) > 1 else list(terms)
         return order
 
     # -- construction -------------------------------------------------

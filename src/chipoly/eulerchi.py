@@ -13,12 +13,26 @@ Chern root by t, so B_k becomes sum_j binom(k, j) T^(k-j) B_j and chi(F(t))
 is the same sum over the same B_j with weights q_j in T: the coefficients
 of (x + 1 + T)(x + 2 + T)...(x + N + T), since
 sum_k [N+1, k+1] x^k = (x + 1)(x + 2)...(x + N) (see _weights).
-At a concrete Chern vector B_j is the power sum p_j of the Chern roots,
-which Newton's identities give from the classes in plain integers; a
-ChernVector computes them once, when it is built, so evaluate_chi takes
-the sum at an integer twist without building any polynomial.  The
-paper's substitution C_i -> sum_j binom(n-i+j, j) T^j C_{i-j}, C_0 = 1,
-is kept as twisted_chern_polynomial, the independent check on that shift.
+
+Which route does what:
+- chi_polynomial (its default method, "recursive") and
+  chi_twist_polynomial build chi and G from the closed form: Waring's
+  formula gives each coefficient of B_w, so every coefficient of chi and
+  G is one product of integers, written in canonical order as a
+  partition walk meets it (see _closed_form).  No power sum is built
+  and nothing is sorted.
+- build_chi_polynomial assembles chi from a named power-sum route: the
+  Newton recursion or the paper's Newton matrix.  The bench command
+  times the two against each other, emit-chi --method matrix prints the
+  matrix route, and the tests check the closed form against the
+  recursion term for term.
+- twisted_chern_polynomial is the paper's substitution
+  C_i -> sum_j binom(n-i+j, j) T^j C_{i-j}, C_0 = 1, the independent
+  check on G.
+- evaluate_chi takes the sum at a concrete Chern vector, where B_j is the
+  power sum p_j of the Chern roots, which Newton's identities give from
+  the classes in plain integers; a ChernVector computes them once, when
+  it is built, so no polynomial is built.
 Everything here is exact over Q; the rank may be a specific integer or
 left symbolic as the variable n.
 """
@@ -68,7 +82,7 @@ def _weights(dim: int, twist) -> tuple:
     of R(x + twist), where R(x) = sum_k [N+1, k+1] x^k = (x + 1)...(x + N)
     is the rising factorial that defines the Stirling numbers.  The
     product of the N factors x + m + twist gives them in O(N^2) steps,
-    with no Stirling row.  twist is an integer, or the variable T for G.
+    with no Stirling row.  twist is an integer.
     """
     q = [1]
     for m in range(1, dim + 1):  # q *= x + m + twist, in place from the top
@@ -80,11 +94,89 @@ def _weights(dim: int, twist) -> tuple:
     return tuple(q)
 
 
-def _assemble(b0: Polynomial, dim: int, sums: list, twist) -> Polynomial:
-    """(1/N!) * sum_j q_j * B_j over B_0 = b0 and B_1..B_N = sums, with the
-    weights q_j of _weights; every q_j * B_j lands in one integer dict over N!.
+def _assemble(b0: Polynomial, dim: int, sums: list) -> Polynomial:
+    """(1/N!) * sum_k [N+1, k+1] * B_k over B_0 = b0 and B_1..B_N = sums,
+    with the weights of _weights; every product lands in one integer dict
+    over N!.
     """
-    return Polynomial.sum_of_products(zip(_weights(dim, twist), [b0] + sums), math.factorial(dim))
+    return Polynomial.sum_of_products(zip(_weights(dim, 0), [b0] + sums), math.factorial(dim))
+
+
+def _closed_form(rank, dim: int, twisted: bool) -> Polynomial:
+    """chi (or G when twisted) from Waring's coefficients, in canonical order.
+
+    Waring's formula (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.2) gives B_w in the C variables: a partition lambda of w with l
+    parts, m_i of them equal to i, has the coefficient
+    (-1)^(w-l) w (l-1)! / prod m_i! on C^lambda.  So C^lambda has
+    [N+1, w+1] times that in N! * chi, and C^lambda T^e has
+    [N+1, w+e+1] binom(w+e, w) times it in N! * G; the rank term is
+    rank [N+1, e+1] T^e.  The weights are _weights(N, 0).
+
+    One walk visits the monomials in canonical order, so the result needs
+    no sort: total degree (l, plus e in G) descending, then the smallest
+    part ascending, its multiplicity descending, and so on.  In G, T^e is
+    a last part of size 1 whose slot sorts after every C; the rank term
+    comes last in its degree, since its first slot is T or n (or it is
+    the constant).
+    """
+    (rank_mono, rank_coeff), = _rank_poly(rank)._terms.items()
+    _check_int(dim, "dimension", 1)
+    stirling = _weights(dim, 0)
+    fact = [1]
+    for i in range(1, dim + 1):
+        fact.append(fact[-1] * i)
+    t = _slot(TWIST)
+    # Every (slot, exponent) pair a monomial can hold, made once and shared.
+    pairs = {p: [(p, m) for m in range(dim // p + 1)] for p in range(1, dim + 1)}
+    pairs[t] = [(t, e) for e in range(dim + 1)]
+    nums: dict = {}
+    order: list = []
+
+    def emit(mono, w, parts, denom, e):
+        c = w * fact[parts - 1] // denom * stirling[w + e]
+        if e:
+            c *= math.comb(w + e, w)
+        nums[mono] = -c if (w - parts) % 2 else c
+        order.append(mono)
+
+    def walk(prefix, left, used, low, parts, denom):
+        # prefix: the parts placed so far (smallest first) as a monomial,
+        # of weight used and degree parts; left: the degree still to place,
+        # by parts of size low or more (or, in G, by T, of size 1).
+        p = low
+        while True:
+            if twisted:  # the rest of the degree as T costs 1 a unit
+                if used + left + p - 1 > dim:
+                    break
+                top = left if p == 1 else min(left, (dim - used - left) // (p - 1))
+                counts = range(top, 0, -1)
+            else:  # the rest of the degree costs at least p + 1 a unit
+                if used + p * left > dim:
+                    break
+                counts = range(left, max(0, used + (p + 1) * left - dim - 1), -1)
+            for m in counts:  # m parts of size p, most first
+                mono = prefix + (pairs[p][m],)
+                if m == left:
+                    emit(mono, used + p * m, parts + m, denom * fact[m], 0)
+                else:
+                    walk(mono, left - m, used + p * m, p + 1, parts + m, denom * fact[m])
+            p += 1
+        if twisted and parts:  # T^left, after every C
+            emit(prefix + (pairs[t][left],), used, parts, denom, left)
+
+    # The rank term times T^e has degree e + 1 for the symbolic rank n,
+    # else e.
+    top_e = dim if twisted else 0
+    for degree in range(max(dim, top_e + len(rank_mono)), -1, -1):
+        if 1 <= degree <= dim:
+            walk((), degree, 0, 1, 0, 1)
+        e = degree - len(rank_mono)
+        if 0 <= e <= top_e:
+            mono = ((pairs[t][e],) if e else ()) + rank_mono
+            nums[mono] = rank_coeff * stirling[e]
+            order.append(mono)
+    return Polynomial._make(nums, fact[dim], order)
 
 
 def build_chi_polynomial(
@@ -93,18 +185,23 @@ def build_chi_polynomial(
     method: str = "recursive",
     cache: PowerSumCache | None = None,
 ) -> Polynomial:
-    """Construction of the chi polynomial, outside chi_polynomial's cache.
+    """chi assembled from the power sums of one route, outside any cache.
 
-    With cache=None the recursive route reads and fills the shared module
-    memo of power sums.  The benchmark passes a fresh PowerSumCache so
-    that each timed run pays the full cost of its method.
+    method is "recursive" (the Newton recursion) or "matrix" (the Newton
+    matrix); chi_polynomial's default builds the same polynomial from
+    the closed form instead.  With cache=None the recursive route reads
+    and fills the shared module memo of power sums.  The benchmark passes
+    a fresh PowerSumCache so that each timed run pays the full cost of
+    its method.
     """
-    return _assemble(_rank_poly(rank), dim, _power_sums(dim, method, cache), 0)
+    return _assemble(_rank_poly(rank), dim, _power_sums(dim, method, cache))
 
 
 # typed: True and 3.0 hash like 1 and 3, and must reach the checks.
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _cached_chi(rank, dim, method):
+    if method == "recursive":
+        return _closed_form(rank, dim, False)
     return build_chi_polynomial(rank, dim, method)
 
 
@@ -112,8 +209,11 @@ def chi_polynomial(rank, dim: int, method: str = "recursive") -> Polynomial:
     """The universal polynomial P with chi(F) = P(c_1, ..., c_N).
 
     rank is an integer or None for the symbolic rank variable n; dim is
-    the N of projective N-space.  Results are cached per (rank, dim,
-    method), however the call spells them, up to CACHE_SIZE of them.
+    the N of projective N-space.  The default method, "recursive", builds
+    chi from Waring's closed form (_closed_form), already in canonical
+    order; "matrix" assembles it from the Newton matrix's power sums.
+    Results are cached per (rank, dim, method), however the call spells
+    them, up to CACHE_SIZE of them.
     """
     return _cached_chi(rank, dim, method)
 
@@ -149,13 +249,14 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
 
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _cached_chi_twist(rank, dim):
-    return _assemble(_rank_poly(rank), dim, _power_sums(dim), Polynomial.variable(TWIST))
+    return _closed_form(rank, dim, True)
 
 
 def chi_twist_polynomial(rank, dim: int) -> Polynomial:
     """The polynomial G with chi(F(t)) = G(c_1, ..., c_N, t).
 
-    Cached per (rank, dim), however the call spells them, up to
+    Built from Waring's closed form (_closed_form), already in canonical
+    order; twisted_chern_polynomial is its independent check.  Cached per (rank, dim), however the call spells them, up to
     CACHE_SIZE of them.
     """
     return _cached_chi_twist(rank, dim)

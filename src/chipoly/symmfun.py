@@ -17,6 +17,13 @@ route uses the same identities as a memoized recurrence
     B_r = sum_{l=1}^{r-1} (-1)^(l-1) C_l B_{r-l} + (-1)^(r-1) r C_r
 
 and is dramatically faster.  Both must agree term for term.
+
+Neither route builds the chi or G that emit-chi and emit-chi-twist
+print: eulerchi writes those from Waring's closed form for the
+coefficients of B_r.  The routes here serve the powersum command, the
+bench command (which times one against the other), emit-chi --method
+matrix, and the tests, where the recursion is the reference the closed
+form is checked against, term for term.
 """
 
 from __future__ import annotations

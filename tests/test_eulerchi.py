@@ -19,7 +19,7 @@ from chipoly.eulerchi import (
 )
 from chipoly.oracle import SplitBundle, split_chi_twist, verify
 from chipoly.stirling import unsigned_stirling1
-from chipoly.symmfun import power_sum_recursive, power_sum_values
+from chipoly.symmfun import PowerSumCache, power_sum_recursive, power_sum_values
 
 C1 = Polynomial.variable("C1")
 C2 = Polynomial.variable("C2")
@@ -464,6 +464,57 @@ def test_inherited_orders_equal_a_fresh_sort(rank):
                 assert group._order is not None and group._order == _fresh_sort(group)
 
 
+def _twist_assembly(rank, dim: int, cache) -> Polynomial:
+    """G as (1/N!) sum_j q_j(T) B_j over the recursion's power sums, with
+    q_j(T) = sum_{k>=j} [N+1, k+1] binom(k, j) T^(k-j): the assembly the
+    closed form replaced, kept here as its reference."""
+    stirling = [unsigned_stirling1(dim + 1, k + 1) for k in range(dim + 1)]
+    weights = [sum(stirling[k] * math.comb(k, j) * T ** (k - j) for k in range(j, dim + 1))
+               for j in range(dim + 1)]
+    sums = [n if rank is None else Polynomial.constant(rank)]
+    sums += [cache.power_sum(k) for k in range(1, dim + 1)]
+    return Polynomial.sum_of_products(zip(weights, sums), math.factorial(dim))
+
+
+@pytest.mark.parametrize("rank", [None, 1, 3])
+def test_closed_form_equals_the_power_sum_assembly(rank):
+    """chi and G as the library builds them (Waring's closed form) have the
+    power-sum assembly's terms and denominator, and come with their
+    canonical order already set."""
+    cache = PowerSumCache()
+    builds = [(eulerchi._cached_chi.__wrapped__(rank, dim, "recursive"),
+               build_chi_polynomial(rank, dim, "recursive", cache)) for dim in range(1, 25)]
+    builds += [(eulerchi._cached_chi_twist.__wrapped__(rank, dim),
+                _twist_assembly(rank, dim, cache)) for dim in range(1, 17)]
+    for got, reference in builds:
+        assert (got._den, got._terms) == (reference._den, reference._terms)
+        assert got._order is not None and got._order == _fresh_sort(got)
+
+
+def test_emitting_chi_and_g_sorts_nothing_and_builds_no_power_sum(capsys, monkeypatch):
+    calls = []
+    key, power_sum = algebra._order_key, PowerSumCache.power_sum
+    monkeypatch.setattr(algebra, "_order_key", lambda mono: calls.append(mono) or key(mono))
+    monkeypatch.setattr(PowerSumCache, "power_sum",
+                        lambda self, r: calls.append(r) or power_sum(self, r))
+    chi_polynomial.cache_clear()
+    chi_twist_polynomial.cache_clear()
+    printed = []
+    for command, dim in (("emit-chi", 12), ("emit-chi-twist", 8)):
+        for fmt in ("text", "latex", "json"):
+            assert cli.main([command, "--rank", "n", "--dim", str(dim), "--format", fmt]) == 0
+            printed.append((dim, fmt, command == "emit-chi-twist", capsys.readouterr().out))
+    assert calls == []
+    assert chi_polynomial.cache_info().misses == chi_twist_polynomial.cache_info().misses == 1
+    # The same text as a copy that sorts its terms afresh.
+    monkeypatch.undo()
+    for dim, fmt, twisted, out in printed:
+        poly = (chi_twist_polynomial if twisted else chi_polynomial)(None, dim)
+        copy = Polynomial.from_json(poly.to_json())
+        assert copy._order is None
+        assert out == cli._emit_chi(copy, dim, fmt, twisted) + "\n"
+
+
 def test_rendering_chi_again_sorts_nothing(monkeypatch):
     """Once chi is sorted, neither the bracket nor its T-groups sort again."""
     poly = Polynomial.from_json(chi_twist_polynomial(None, 6).to_json())  # not yet sorted
@@ -471,12 +522,12 @@ def test_rendering_chi_again_sorts_nothing(monkeypatch):
     key = algebra._order_key
     monkeypatch.setattr(algebra, "_order_key", lambda mono: calls.append(mono) or key(mono))
     first = [cli.format_chi_text(poly, 6, twisted) for twisted in (False, True)]
-    assert len(calls) > len(poly)
+    # One key per term, once; the T^k written after each group is a single
+    # term, in order as it stands.
+    assert len(calls) == len(poly)
     calls.clear()
     assert [cli.format_chi_text(poly, 6, twisted) for twisted in (False, True)] == first
-    # Only the T^k factors written after each group are new, one term each.
-    t_slot = algebra._slot(TWIST)
-    assert calls and all(len(mono) == 1 and mono[0][0] == t_slot for mono in calls)
+    assert not calls
 
 
 def test_prefactor_parts_builds_only_its_two_results(monkeypatch):
