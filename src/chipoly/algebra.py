@@ -28,14 +28,16 @@ keyed by names enter through ``from_terms`` (which ``from_json`` calls);
 All renderers (text, LaTeX, JSON) and ``terms`` list terms in graded
 lexicographic order, highest total degree first and ties broken by the
 variable order above, so equal polynomials always print identically.
-A polynomial sorts its monomials into that order once, on first need,
-and keeps the list: every renderer reads it, and ``collect`` hands each
-group its share of it, so nothing is sorted twice.  Text and LaTeX
-share one term loop, which places signs, drops unit coefficients and
-writes constants; the two formats differ only in their tokens: how a
-variable power and a coefficient are written and what joins the factors.
-JSON is written straight from the ordered terms, byte for byte what
-``json.dumps`` makes of the payload ``from_json`` reads.
+The term dict itself holds that order, since dicts keep insertion
+order: a polynomial built in order says so when it is made, and any
+other is re-keyed into order once, on first need.  Every renderer then
+walks the dict as it stands, and ``collect`` fills each group in order,
+so nothing is sorted twice.  Text and LaTeX share one term loop, which
+places signs, drops unit coefficients and writes constants; the two
+formats differ only in their tokens: how a variable power and a
+coefficient are written and what joins the factors.  JSON is written
+straight from the ordered terms, byte for byte what ``json.dumps`` makes
+of the payload ``from_json`` reads.
 
 ``evaluate`` checks that the point binds every occurring variable to an
 int or a Fraction (any other value is rejected), then sums the terms in
@@ -224,20 +226,20 @@ def _latex_magnitude(num: int, den: int) -> str:
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("_terms", "_den", "_order")
+    __slots__ = ("_terms", "_den", "_sorted")
 
     def __init__(self):
         """The zero polynomial; from_terms builds any other from names."""
-        self._terms, self._den, self._order = {}, 1, None
+        self._terms, self._den, self._sorted = {}, 1, True
 
     @classmethod
-    def _make(cls, nums: dict, den: int = 1, order: list | None = None) -> "Polynomial":
+    def _make(cls, nums: dict, den: int = 1, ordered: bool = False) -> "Polynomial":
         """The polynomial sum(nums[m] * m) / den for den > 0; takes nums.
 
-        Zero numerators drop out and den is reduced against the rest.
-        order, if given, is the nonzero monomials of nums in canonical
-        order, which the caller already knows; else it is sorted on
-        first need.
+        Zero numerators drop out and den is reduced against the rest,
+        both keeping the order of nums.  ordered says that the caller
+        filled nums in canonical order; else it is sorted on first need.
+        Fewer than two terms are in order as they stand.
         """
         if 0 in nums.values():
             nums = {m: c for m, c in nums.items() if c}
@@ -247,20 +249,21 @@ class Polynomial:
                 den //= g
                 nums = {m: c // g for m, c in nums.items()}
         poly = object.__new__(cls)
-        poly._terms, poly._den, poly._order = nums, den, order
+        poly._terms, poly._den, poly._sorted = nums, den, ordered or len(nums) < 2
         return poly
 
-    def _ordered(self) -> list:
-        """The monomials in canonical order, sorted once and then kept.
+    def _ordered(self) -> dict:
+        """The term dict, its keys in canonical order.
 
-        A polynomial of one term (a power of T written after a group, say)
-        is in order as it stands.
+        The first call on an unsorted polynomial sorts once and puts a
+        new dict in place of the old, which it leaves as it was, so a
+        walk already running over that one stays valid.
         """
-        order = self._order
-        if order is None:
+        if not self._sorted:
             terms = self._terms
-            order = self._order = sorted(terms, key=_order_key) if len(terms) > 1 else list(terms)
-        return order
+            self._terms = {m: terms[m] for m in sorted(terms, key=_order_key)}
+            self._sorted = True
+        return self._terms
 
     # -- construction -------------------------------------------------
 
@@ -351,9 +354,8 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Iterate ((name, exponent) pairs, coefficient) in canonical display order."""
-        for mono in self._ordered():
-            yield (tuple((_NAME[s], e) for s, e in mono),
-                   Fraction(self._terms[mono], self._den))
+        for mono, coeff in self._ordered().items():
+            yield tuple((_NAME[s], e) for s, e in mono), Fraction(coeff, self._den)
 
     def coefficient(self, exps: Mapping[str, int]) -> Fraction:
         """Coefficient of the monomial with the given exponents (0 if absent)."""
@@ -376,9 +378,8 @@ class Polynomial:
         comparison between them, so the groups need no sort of their own.
         """
         slot = _slot(var)
-        terms = self._terms
         groups: dict[int, dict[Monomial, int]] = {}
-        for mono in self._ordered():
+        for mono, coeff in self._ordered().items():
             k = 0
             rest = []
             for s, e in mono:
@@ -386,8 +387,8 @@ class Polynomial:
                     k = e
                 else:
                     rest.append((s, e))
-            groups.setdefault(k, {})[tuple(rest)] = terms[mono]
-        return {k: Polynomial._make(t, self._den, list(t)) for k, t in groups.items()}
+            groups.setdefault(k, {})[tuple(rest)] = coeff
+        return {k: Polynomial._make(t, self._den, True) for k, t in groups.items()}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -536,8 +537,7 @@ class Polynomial:
             return "0"
         den = self._den
         chunks = []
-        for mono in self._ordered():
-            coeff = self._terms[mono]
+        for mono, coeff in self._ordered().items():
             num, d = _reduced(abs(coeff), den)
             if not mono:
                 piece = magnitude(num, d)
@@ -565,11 +565,11 @@ class Polynomial:
         json.dumps's default layout: {"vars": [...], "terms": [{"coeff":
         "-5/6", "exps": {"C1": 2}}, ...]}.
         """
-        terms, den = self._terms, self._den
+        den = self._den
         body = ", ".join(
-            f'{{"coeff": "{_text_magnitude(*_reduced(terms[mono], den))}", '
+            f'{{"coeff": "{_text_magnitude(*_reduced(coeff, den))}", '
             f'"exps": {{{", ".join(map(_json_power, mono))}}}}}'
-            for mono in self._ordered()
+            for mono, coeff in self._ordered().items()
         )
         names = ", ".join(f'"{name}"' for name in self.variables())
         return f'{{"vars": [{names}], "terms": [{body}]}}'

@@ -94,14 +94,6 @@ def _weights(dim: int, twist) -> tuple:
     return tuple(q)
 
 
-def _assemble(b0: Polynomial, dim: int, sums: list) -> Polynomial:
-    """(1/N!) * sum_k [N+1, k+1] * B_k over B_0 = b0 and B_1..B_N = sums,
-    with the weights of _weights; every product lands in one integer dict
-    over N!.
-    """
-    return Polynomial.sum_of_products(zip(_weights(dim, 0), [b0] + sums), math.factorial(dim))
-
-
 def _closed_form(rank, dim: int, twisted: bool) -> Polynomial:
     """chi (or G when twisted) from Waring's coefficients, in canonical order.
 
@@ -131,14 +123,12 @@ def _closed_form(rank, dim: int, twisted: bool) -> Polynomial:
     pairs = {p: [(p, m) for m in range(dim // p + 1)] for p in range(1, dim + 1)}
     pairs[t] = [(t, e) for e in range(dim + 1)]
     nums: dict = {}
-    order: list = []
 
     def emit(mono, w, parts, denom, e):
         c = w * fact[parts - 1] // denom * stirling[w + e]
         if e:
             c *= math.comb(w + e, w)
         nums[mono] = -c if (w - parts) % 2 else c
-        order.append(mono)
 
     def walk(prefix, left, used, low, parts, denom):
         # prefix: the parts placed so far (smallest first) as a monomial,
@@ -175,8 +165,7 @@ def _closed_form(rank, dim: int, twisted: bool) -> Polynomial:
         if 0 <= e <= top_e:
             mono = ((pairs[t][e],) if e else ()) + rank_mono
             nums[mono] = rank_coeff * stirling[e]
-            order.append(mono)
-    return Polynomial._make(nums, fact[dim], order)
+    return Polynomial._make(nums, fact[dim], True)
 
 
 def build_chi_polynomial(
@@ -189,12 +178,15 @@ def build_chi_polynomial(
 
     method is "recursive" (the Newton recursion) or "matrix" (the Newton
     matrix); chi_polynomial's default builds the same polynomial from
-    the closed form instead.  With cache=None the recursive route reads
-    and fills the shared module memo of power sums.  The benchmark passes
-    a fresh PowerSumCache so that each timed run pays the full cost of
-    its method.
+    the closed form instead.  chi is (1/N!) * sum_k [N+1, k+1] * B_k over
+    the rank B_0 and the route's B_1..B_N, with the weights of _weights,
+    every product landing in one integer dict over N!.  With cache=None
+    the recursive route reads and fills the shared module memo of power
+    sums.  The benchmark passes a fresh PowerSumCache so that each timed
+    run pays the full cost of its method.
     """
-    return _assemble(_rank_poly(rank), dim, _power_sums(dim, method, cache))
+    sums = [_rank_poly(rank)] + _power_sums(dim, method, cache)
+    return Polynomial.sum_of_products(zip(_weights(dim, 0), sums), math.factorial(dim))
 
 
 # typed: True and 3.0 hash like 1 and 3, and must reach the checks.
@@ -335,7 +327,7 @@ def prefactor_parts(poly: Polynomial, dim: int) -> tuple[Polynomial, Polynomial]
     none of the rest.
     """
     _check_int(dim, "dimension", 1)
-    terms, den = poly._terms, poly._den
+    terms, den = poly._ordered(), poly._den
     tail_monos = (((_slot(RANK), 1),), ())  # n, then the constant: canonical order
     tail = {m: terms[m] for m in tail_monos if m in terms}
     # Cancel dim! against den first; for chi den divides dim!, so the
@@ -343,6 +335,5 @@ def prefactor_parts(poly: Polynomial, dim: int) -> tuple[Polynomial, Polynomial]
     fact = math.factorial(dim)
     g = math.gcd(fact, den)
     scale = fact // g
-    bracket = {m: terms[m] * scale for m in poly._ordered() if m not in tail_monos}
-    return (Polynomial._make(bracket, den // g, list(bracket)),
-            Polynomial._make(tail, den, list(tail)))
+    bracket = {m: c * scale for m, c in terms.items() if m not in tail_monos}
+    return Polynomial._make(bracket, den // g, True), Polynomial._make(tail, den, True)

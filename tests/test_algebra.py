@@ -3,6 +3,7 @@ import importlib
 import inspect
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -624,6 +625,40 @@ def test_second_render_sorts_nothing(monkeypatch):
     calls.clear()
     assert (p.to_text(), p.to_json(), p.to_latex(), list(p.terms())) == first
     assert calls == []
+
+
+def test_making_in_order_drops_zero_terms_and_keeps_the_rest_in_order():
+    """A zero numerator leaves the term dict of a polynomial made in order,
+    and the rest, reduced over the denominator, render in the order given."""
+    from chipoly import algebra
+
+    c1, c2, t = ((1, 1),), ((2, 1),), ((algebra._slot(TWIST), 1),)
+    p = Polynomial._make({c1: 2, c2: 0, t: -6}, 4, True)
+    assert p._sorted and list(p._terms) == [c1, t]
+    assert (p._den, p._terms) == (2, {c1: 1, t: -3})
+    assert p.to_text() == "1/2*C1 - 3/2*T"
+    assert p.to_latex() == "\\frac{1}{2} C_{1} - \\frac{3}{2} T"
+    assert p.to_json() == (C1 / 2 - 3 * T / 2).to_json()
+    assert list(p.terms()) == [((("C1", 1),), Fraction(1, 2)), ((("T", 1),), Fraction(-3, 2))]
+
+
+def _renders(p):
+    return p.to_text(), p.to_latex(), p.to_json(), list(p.terms()), hash(p)
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_round_trip_keeps_terms_order_and_renders(protocol):
+    """bench --timeout sends polynomials through a pipe: a copy of a sorted
+    and of a not yet sorted polynomial equals it and renders the same."""
+    base = C1 + 2 * C2 - T + Polynomial.variable(RANK) - Fraction(1, 3)
+    done, fresh = base**3, base**3
+    done.to_text()
+    assert done._sorted and not fresh._sorted
+    for p in (done, fresh):
+        copy = pickle.loads(pickle.dumps(p, protocol))
+        assert (copy._sorted, list(copy._terms), copy._den) == (p._sorted, list(p._terms), p._den)
+        assert copy == p
+        assert _renders(copy) == _renders(p)
 
 
 # Names across the slot range: low and huge Chern indices, then T, X and n.

@@ -54,6 +54,14 @@ def test_bench_timeout_kills_matrix():
     assert "timed out" in report.to_text()
 
 
+def test_bench_timeout_compares_piped_polynomials():
+    """With a timeout each build runs in a child and its polynomial comes
+    back pickled through a pipe; both routes finish, so those are compared."""
+    report = run_bench(4, repetitions=1, timeout=60)
+    assert all(len(t.seconds) == 1 and not t.timed_out for t in report.timings)
+    assert report.agreement is True
+
+
 def test_bench_json_report():
     report = run_bench(4, repetitions=1)
     payload = json.loads(report.to_json())

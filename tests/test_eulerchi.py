@@ -450,18 +450,23 @@ def _fresh_sort(poly):
     return sorted(poly._terms, key=algebra._order_key)
 
 
+def _built_in_order(poly) -> bool:
+    """poly was made sorted, and its term dict is in canonical order."""
+    return poly._sorted and list(poly._terms) == _fresh_sort(poly)
+
+
 @pytest.mark.parametrize("rank", [None, 3])
 def test_inherited_orders_equal_a_fresh_sort(rank):
     """The orders prefactor_parts and collect hand on are the canonical ones."""
     for dim in range(1, 13):
         for poly in (chi_polynomial(rank, dim), chi_twist_polynomial(rank, dim)):
-            assert poly._ordered() == _fresh_sort(poly)
+            assert list(poly._ordered()) == _fresh_sort(poly)
             for part in prefactor_parts(poly, dim):
-                assert part._order is not None and part._order == _fresh_sort(part)
+                assert _built_in_order(part)
             groups = list(poly.collect(TWIST).values())
             groups += prefactor_parts(poly, dim)[0].collect(TWIST).values()
             for group in groups:
-                assert group._order is not None and group._order == _fresh_sort(group)
+                assert _built_in_order(group)
 
 
 def _twist_assembly(rank, dim: int, cache) -> Polynomial:
@@ -488,7 +493,7 @@ def test_closed_form_equals_the_power_sum_assembly(rank):
                 _twist_assembly(rank, dim, cache)) for dim in range(1, 17)]
     for got, reference in builds:
         assert (got._den, got._terms) == (reference._den, reference._terms)
-        assert got._order is not None and got._order == _fresh_sort(got)
+        assert _built_in_order(got)
 
 
 def test_emitting_chi_and_g_sorts_nothing_and_builds_no_power_sum(capsys, monkeypatch):
@@ -511,7 +516,7 @@ def test_emitting_chi_and_g_sorts_nothing_and_builds_no_power_sum(capsys, monkey
     for dim, fmt, twisted, out in printed:
         poly = (chi_twist_polynomial if twisted else chi_polynomial)(None, dim)
         copy = Polynomial.from_json(poly.to_json())
-        assert copy._order is None
+        assert not copy._sorted
         assert out == cli._emit_chi(copy, dim, fmt, twisted) + "\n"
 
 
@@ -562,7 +567,7 @@ def test_prefactor_parts_matches_subtract_and_scale(poly, dim):
     assert (got_bracket._den, got_bracket._terms) == (bracket._den, bracket._terms)
     assert (got_tail._den, got_tail._terms) == (tail._den, tail._terms)
     for part in (got_bracket, got_tail):
-        assert part._order == _fresh_sort(part)
+        assert _built_in_order(part)
 
 
 # -- the weights as a product of linear factors ------------------------------
