@@ -230,49 +230,42 @@ def _cmd_bench(args) -> int:
     return 1 if report.agreement is False else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chipoly",
-        description="Exact Euler-characteristic polynomials on projective space.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("stirling", help="print the unsigned (or signed) Stirling triangle")
+def _stirling_flags(p) -> None:
     p.add_argument("--rows", type=_int_arg, required=True, help="last row N to print")
     p.add_argument("--signed", action="store_true", help="signed numbers s(N, m)")
-    p.set_defaults(handler=_cmd_stirling, parser=p)
 
-    p = subs.add_parser("powersum", help="print the power sum B_r in the C variables")
+
+def _powersum_flags(p) -> None:
     p.add_argument("--r", type=_int_arg, required=True, help="power-sum index")
     p.add_argument("--method", choices=METHODS, default="recursive")
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    p.set_defaults(handler=_cmd_powersum, parser=p)
 
-    p = subs.add_parser("emit-chi", help="print the chi polynomial for rank/dim")
+
+def _emit_chi_flags(p) -> None:
     p.add_argument("--rank", type=_rank_arg, required=True,
                    help="sheaf rank, or 'n' to keep it symbolic")
     p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--method", choices=METHODS, default="recursive")
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    p.set_defaults(handler=_cmd_emit_chi, parser=p)
 
-    p = subs.add_parser("emit-chi-twist", help="print the twisted chi polynomial")
+
+def _emit_chi_twist_flags(p) -> None:
     p.add_argument("--rank", type=_rank_arg, required=True,
                    help="sheaf rank, or 'n' to keep it symbolic")
     p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    p.set_defaults(handler=_cmd_emit_chi_twist, parser=p)
 
-    p = subs.add_parser("eval", help="evaluate chi at a concrete Chern vector")
+
+def _eval_flags(p) -> None:
     p.add_argument("--rank", type=_rank_arg, required=True)
     p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--chern", type=_chern_arg, required=True,
                    help="comma-separated integers c1,...,cN")
     p.add_argument("--twist", type=_int_arg, default=None,
                    help="also twist by O(t) before evaluating")
-    p.set_defaults(handler=_cmd_eval, parser=p)
 
-    p = subs.add_parser("verify", help="cross-check against split-bundle counts")
+
+def _verify_flags(p) -> None:
     p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--rank", type=_int_arg, required=True)
     p.add_argument("--trials", type=_int_arg, default=50)
@@ -280,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_arg, default=7)
     p.add_argument("--twist-range", type=_int_arg, default=4)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_verify, parser=p)
 
-    p = subs.add_parser("bench", help="time the two power-sum routes")
+
+def _bench_flags(p) -> None:
     p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--methods", type=_methods_arg, default=METHODS,
                    help="comma-separated subset of matrix,recursive")
@@ -291,8 +284,57 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run wall-clock limit in seconds")
     p.add_argument("--matrix-cutoff", type=_int_arg, default=DEFAULT_MATRIX_CUTOFF)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_bench, parser=p)
 
+
+# (name, help, handler, flags): one row per subcommand, in listing order.
+_SUBCOMMANDS = (
+    ("stirling", "print the unsigned (or signed) Stirling triangle",
+     _cmd_stirling, _stirling_flags),
+    ("powersum", "print the power sum B_r in the C variables",
+     _cmd_powersum, _powersum_flags),
+    ("emit-chi", "print the chi polynomial for rank/dim",
+     _cmd_emit_chi, _emit_chi_flags),
+    ("emit-chi-twist", "print the twisted chi polynomial",
+     _cmd_emit_chi_twist, _emit_chi_twist_flags),
+    ("eval", "evaluate chi at a concrete Chern vector",
+     _cmd_eval, _eval_flags),
+    ("verify", "cross-check against split-bundle counts",
+     _cmd_verify, _verify_flags),
+    ("bench", "time the two power-sum routes",
+     _cmd_bench, _bench_flags),
+)
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that registers its flags when it first parses.
+
+    A command line parses one subcommand, so the flags of the other six
+    are never built.  The top-level usage, help listing and invalid-choice
+    message need only the subcommands' names and help texts.
+    """
+
+    def __init__(self, *args, flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._flags is not None:
+            flags, self._flags = self._flags, None
+            flags(self)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="chipoly",
+        description="Exact Euler-characteristic polynomials on projective space.",
+    )
+    subs = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
+    for name, help_text, handler, flags in _SUBCOMMANDS:
+        p = subs.add_parser(name, help=help_text, flags=flags)
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 

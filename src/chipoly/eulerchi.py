@@ -32,7 +32,8 @@ Which route does what:
 - evaluate_chi takes the sum at a concrete Chern vector, where B_j is the
   power sum p_j of the Chern roots, which Newton's identities give from
   the classes in plain integers; a ChernVector computes them once, when
-  it is built, so no polynomial is built.
+  it is built, so no polynomial is built.  _chi_numerator is that sum
+  before the division by N!, an integer, which verify compares.
 Everything here is exact over Q; the rank may be a specific integer or
 left symbolic as the variable n.
 """
@@ -43,6 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .algebra import RANK, TWIST, Polynomial, _check_int, _slot, chern
 from .symmfun import PowerSumCache, power_sum_matrix, power_sum_recursive
@@ -302,18 +304,25 @@ class ChernVector:
         object.__setattr__(self, "_power_sums", _newton_power_sums(self.rank, classes))
 
 
+def _chi_numerator(cv: ChernVector, twist: int | None = None) -> int:
+    """N! * chi(F) (or N! * chi(F(twist))) at cv: an integer, sum_j q_j(t) p_j.
+
+    The weights of _weights times the power sums p_j of the Chern roots,
+    which cv computed once when it was built, with t = 0 when there is no
+    twist.  The sum is the one chi and G are assembled from, with p_j in
+    place of B_j, so no polynomial is built.  verify compares it with N!
+    times a direct count, in integers.
+    """
+    t = 0 if twist is None else _check_int(twist, "twist")
+    return sum(map(mul, _weights(cv.dim, t), cv._power_sums))
+
+
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
     """Exact chi(F) (or chi(F(twist))) at a concrete Chern vector.
 
-    Returns (1/N!) * sum_j q_j(t) p_j with t = 0 when there is no twist:
-    the weights of _weights times the power sums p_j of the Chern roots,
-    which cv computed once when it was built.  The sum is the one chi and
-    G are assembled from, with p_j in place of B_j, so no polynomial is
-    built.
+    Returns (1/N!) * sum_j q_j(t) p_j, the integer _chi_numerator over N!.
     """
-    t = 0 if twist is None else _check_int(twist, "twist")
-    sums = cv._power_sums
-    return Fraction(sum(q * p for q, p in zip(_weights(cv.dim, t), sums)), math.factorial(cv.dim))
+    return Fraction(_chi_numerator(cv, twist), math.factorial(cv.dim))
 
 
 def prefactor_parts(poly: Polynomial, dim: int) -> tuple[Polynomial, Polynomial]:

@@ -8,7 +8,11 @@ through Stirling numbers, Newton's identities, or any symbolic algebra,
 so comparing evaluate_chi at the elementary symmetric functions of the a_i
 against these counts is an independent check of its parts: the power sums
 p_j of the roots, from the integer Newton recurrence, weighted by the q_j
-that chi and G are assembled from.
+that chi and G are assembled from.  Each check compares N! * chi, the
+integer that evaluate_chi divides by N!, with N! times the count, so it
+builds no Fraction; only a mismatch is reported as the rational value.
+The counts come from math.comb, with the reflection rule for negative
+degrees (see h0_line_bundle).
 
 Random bundles are drawn with a fixed 32-bit linear congruential
 generator (state <- 1664525*state + 1013904223 mod 2^32, draws from the
@@ -19,12 +23,15 @@ triple reproduces the same trials on any platform or Python version.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
 from .algebra import _check_int
-from .eulerchi import ChernVector, evaluate_chi
+# verify checks _chi_numerator, the integer that evaluate_chi divides by
+# N!; evaluate_chi stays importable from this module under its own name.
+from .eulerchi import ChernVector, _chi_numerator, evaluate_chi  # noqa: F401
 from .stirling import h0_line_bundle
 from .symmfun import elementary_values
 
@@ -169,8 +176,10 @@ def verify(
 
     Each trial draws rank degrees uniformly from 0..max_a, forms the
     split bundle's Chern vector, and checks the untwisted value plus
-    every twist t in -twist_range..twist_range.  Exact arithmetic
-    throughout; any disagreement lands in the report with its inputs.
+    every twist t in -twist_range..twist_range.  A check compares
+    N! * chi (_chi_numerator) with N! times the count, in integers; any
+    disagreement lands in the report with its inputs and the value
+    evaluate_chi would give.
     """
     _check_int(dim, "dimension", 1)
     _check_int(rank, "rank", 1)
@@ -179,15 +188,16 @@ def verify(
     _check_int(twist_range, "twist-range", 0)
     rng = Lcg(seed)
     report = VerifyReport(dim, rank, trials, max_a, seed, twist_range)
+    fact = math.factorial(dim)
     for trial in range(trials):
         degrees = tuple(rng.next_int(max_a + 1) for _ in range(rank))
         bundle = SplitBundle(dim, degrees)
         cv = bundle.chern_vector()
         # t = None is the untwisted check, then every twist in order.
         for t in chain((None,), range(-twist_range, twist_range + 1)):
-            got = evaluate_chi(cv, t)
+            got = _chi_numerator(cv, t)
             want = split_chi(bundle) if t is None else split_chi_twist(bundle, t)
             report.checks += 1
-            if got != want:
-                report.mismatches.append(Mismatch(trial, degrees, t, want, got))
+            if got != fact * want:
+                report.mismatches.append(Mismatch(trial, degrees, t, want, Fraction(got, fact)))
     return report

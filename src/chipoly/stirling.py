@@ -99,15 +99,17 @@ def falling_factorial_poly(n: int) -> Polynomial:
 def h0_line_bundle(dim: int, degree: int) -> int:
     """chi(O(degree)) on projective dim-space, exact for any integer degree.
 
-    Computed as the rising factorial (degree+1)...(degree+dim) over dim!
-    (the numerator is a product of dim consecutive integers, so the
-    division is exact).  For degree >= 0 it is h^0, the usual binomial
-    count of monomials; for -dim <= degree <= -1 it is 0.  The split-bundle
-    oracle counts with it.
+    The binomial binom(degree + dim, dim) read as a polynomial in degree,
+    the rising factorial (degree+1)...(degree+dim) over dim!, counted by
+    math.comb: binom(degree + dim, dim) for degree >= 0 (h^0, the usual
+    count of monomials), 0 for -dim <= degree <= -1 (a factor of the
+    product is 0), and (-1)^dim * binom(-degree - 1, dim) for
+    degree < -dim (every factor negative, so the product reflects).  The
+    split-bundle oracle counts with it.
     """
     _check_int(dim, "dimension", 1)
     _check_int(degree, "degree")
-    num = 1
-    for j in range(1, dim + 1):
-        num *= degree + j
-    return num // math.factorial(dim)
+    if degree >= 0:
+        return math.comb(degree + dim, dim)
+    count = math.comb(-degree - 1, dim)  # 0 for -dim <= degree <= -1
+    return -count if dim % 2 else count

@@ -4,12 +4,14 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chipoly.algebra import Polynomial
 from chipoly.bench import BenchReport, MethodTiming
+from chipoly import cli
 from chipoly.cli import main
 from chipoly.eulerchi import ChernVector, chi_polynomial, evaluate_chi
 from chipoly.oracle import Mismatch, VerifyReport
@@ -480,3 +482,40 @@ def test_cli_fuzz_exits_0_or_2(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2), (argv, code, err.getvalue())
+
+
+_GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", _GOLDENS, ids=lambda c: " ".join(c["argv"]) or "(no argv)")
+def test_cli_output_matches_goldens(case, capsys, monkeypatch):
+    # Help, usage and error text as argparse wrote it when every
+    # subcommand's flags were registered up front.
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_parsing_registers_only_the_chosen_subcommands_flags():
+    parser = cli.build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert list(subparsers) == [name for name, *_ in cli._SUBCOMMANDS]
+
+    def flags(name):
+        return [a.dest for a in subparsers[name]._actions]
+
+    assert all(flags(name) == ["help"] for name in subparsers)
+    args = parser.parse_args(["verify", "--dim", "2", "--rank", "3"])
+    assert (args.dim, args.rank, args.trials) == (2, 3, 50)
+    assert args.parser is subparsers["verify"]
+    assert flags("verify") == [
+        "help", "dim", "rank", "trials", "max_a", "seed", "twist_range", "format",
+    ]
+    assert all(flags(name) == ["help"] for name in subparsers if name != "verify")
+    # A second parse registers nothing twice.
+    parser.parse_args(["verify", "--dim", "3", "--rank", "1"])
+    assert len(flags("verify")) == 8

@@ -327,6 +327,20 @@ def test_verify_and_eval_run_newton_once_per_chern_vector(capsys, monkeypatch):
     assert chi_twist_polynomial.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("rank", [1, 2, 4, 7])
+def test_evaluate_chi_is_the_integer_seam_over_n_factorial(rank):
+    # evaluate_chi is _chi_numerator over N!, which verify compares alone.
+    rng = random.Random(rank)
+    for dim in (1, 2, 3, 6, 12, 20):
+        for _ in range(4):
+            classes = tuple(rng.randint(-10**6, 10**6) for _ in range(dim))
+            cv = ChernVector(dim, rank, classes)
+            for twist in (None, 0, 1, -1, 5, -5, -dim - 3, 600, -600):
+                num = eulerchi._chi_numerator(cv, twist)
+                assert type(num) is int
+                assert evaluate_chi(cv, twist) == Fraction(num, math.factorial(dim))
+
+
 def _rising_factorial(dim: int) -> list:
     """Coefficients of x(x+1)...(x+dim): the Stirling numbers [dim+1, k]."""
     coeffs = [1]

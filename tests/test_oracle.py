@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -137,16 +138,17 @@ def test_verify_validation():
 
 
 def test_verify_reports_mismatch_with_witness(monkeypatch):
-    # force a disagreement to exercise the reporting path
-    real = oracle_mod.evaluate_chi
+    # force a disagreement to exercise the reporting path: verify compares
+    # N! * chi, so chi + 1 at t = 2 is the integer seam plus N!
+    real = oracle_mod._chi_numerator
 
     def broken(cv, twist=None):
         value = real(cv, twist)
         if twist == 2:
-            return value + 1
+            return value + math.factorial(cv.dim)
         return value
 
-    monkeypatch.setattr(oracle_mod, "evaluate_chi", broken)
+    monkeypatch.setattr(oracle_mod, "_chi_numerator", broken)
     report = verify(dim=2, rank=2, trials=3, max_a=3, seed=11, twist_range=2)
     assert not report.ok
     assert len(report.mismatches) == 3
@@ -160,6 +162,28 @@ def test_verify_reports_mismatch_with_witness(monkeypatch):
     payload = json.loads(report.to_json())
     assert payload["ok"] is False
     assert payload["mismatches"][0]["t"] == 2
+
+
+def test_verify_without_mismatch_builds_no_fraction(monkeypatch):
+    made = []
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for dim, max_a in ((1, 4), (6, 60000), (12, 4), (12, 65535)):
+        report = verify(dim=dim, rank=3, trials=5, max_a=max_a, seed=91, twist_range=4)
+        assert report.ok and report.checks == 5 * 10
+    assert made == []
+    # The hook does see the Fraction a mismatch is reported with.
+    real = oracle_mod._chi_numerator
+    monkeypatch.setattr(oracle_mod, "_chi_numerator", lambda cv, t=None: real(cv, t) + 1)
+    report = verify(dim=3, rank=2, trials=1, max_a=4, seed=91, twist_range=0)
+    assert len(report.mismatches) == 2
+    assert made and all(isinstance(m.actual, Fraction) for m in report.mismatches)
+    assert [m.actual - m.expected for m in report.mismatches] == [Fraction(1, 6)] * 2
 
 
 def test_line_bundle_trivial_case():

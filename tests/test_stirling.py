@@ -124,9 +124,20 @@ def test_h0_line_bundle():
 def test_rising_factorial_evaluates_to_section_counts():
     for dim in range(1, 7):
         poly = rising_factorial_poly(dim)
-        for a in range(6):
+        for a in range(-dim - 6, 6):
             value = poly.evaluate({"X": a})
             assert value == math.factorial(dim) * h0_line_bundle(dim, a)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_line_bundle_counts_are_the_rising_factorial_product(dim):
+    # h0_line_bundle counts with math.comb and the reflection rule; the
+    # product (d+1)...(d+dim)/dim! is the binomial read as a polynomial in d.
+    for d in range(-40, 41):
+        product = Fraction(1)
+        for j in range(1, dim + 1):
+            product *= Fraction(d + j, j)
+        assert h0_line_bundle(dim, d) == product, d
 
 
 def test_concurrent_fill_is_consistent():
