@@ -16,13 +16,19 @@ each by bisection.  A polynomial maps monomials to nonzero integer
 numerators over one positive common denominator that shares no factor
 with all of them, so equal polynomials have equal state and hashes, and
 a constant (zero too) equals and hashes like its int or Fraction value.
-Arithmetic, including ``sum_of_products`` (many products added up in one
-integer dict, which builds the power sums and chi), runs on these
-integers alone.  Names and Fractions appear only at the edges.  Terms
-keyed by names enter through ``from_terms`` (which ``from_json`` calls);
-``zero``, ``constant`` and ``variable`` build the integer state directly.
-``from_terms`` and ``constant`` take int or Fraction coefficients only
-(not a float or a bool, say), and ``terms``, ``coefficient`` and
+Arithmetic runs on these integers alone and has two ways in.  ``_make``
+takes numerators already in canonical form (``zero``, ``constant``,
+``variable``, ``collect``, the matrix route, eulerchi's closed form and
+``prefactor_parts``) and only drops zeros and reduces the denominator.
+``sum_of_products`` is the one loop that adds terms up: every product of
+its factor pairs lands, scaled, in one integer dict over one denominator.
+The recursive power sums and chi assembled from a route's power sums use
+it directly, and each operator is one call to it: ``p - q`` is the pairs
+(p, 1), (q, -1), and ``p * q`` (q a scalar too) the pair (p, q).
+``from_terms`` (which ``from_json`` calls) hands it one (monomial,
+coefficient) pair per term, so names and Fractions appear only at the
+edges.  ``from_terms`` and ``constant`` take int or Fraction coefficients
+only (not a float or a bool, say), and ``terms``, ``coefficient`` and
 ``constant_term`` give ``(name, exponent)`` monomials and Fractions back.
 
 All renderers (text, LaTeX, JSON) and ``terms`` list terms in graded
@@ -290,17 +296,15 @@ class Polynomial:
         shape = "terms must be an iterable of ({name: exponent}, coefficient) pairs"
         if isinstance(terms, Mapping) or not isinstance(terms, Iterable):
             raise ValueError(f"{shape}, got {terms!r}")
-        acc: dict[Monomial, Scalar] = {}
+        factors = []
         for pair in terms:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                     and isinstance(pair[0], Mapping)):
                 raise ValueError(f"{shape}, got {pair!r} among them")
             exps, coeff = pair
             coeff = _check_scalar(coeff)
-            mono = _monomial(exps)
-            acc[mono] = acc.get(mono, 0) + coeff
-        den = math.lcm(*(c.denominator for c in acc.values()))
-        return cls._make({m: c.numerator * (den // c.denominator) for m, c in acc.items()}, den)
+            factors.append((cls._make({_monomial(exps): 1}), coeff))
+        return cls.sum_of_products(factors)
 
     @staticmethod
     def sum_of_products(pairs: Iterable, den: int = 1) -> "Polynomial":
@@ -308,7 +312,8 @@ class Polynomial:
 
         Each factor is a Polynomial, an int or a Fraction, and den is a
         positive int.  Every product lands in one integer dict over one
-        denominator, so no intermediate sum is built.
+        denominator, so no intermediate sum is built.  This is the only
+        loop that adds terms up: the operators and from_terms call it.
         """
         factors = []
         common = 1
@@ -338,9 +343,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def total_degree(self) -> int:
         """Largest monomial degree, with the usual convention deg 0 for 0."""
@@ -412,21 +414,9 @@ class Polynomial:
             return hash(Fraction(terms.get((), 0), self._den))
         return hash((self._den, frozenset(terms.items())))
 
-    def _plus(self, p: "Polynomial", sign: int) -> "Polynomial":
-        den = math.lcm(self._den, p._den)
-        scale = den // self._den
-        acc = dict(self._terms) if scale == 1 else {m: c * scale for m, c in self._terms.items()}
-        scale = sign * (den // p._den)
-        get = acc.get
-        for mono, coeff in p._terms.items():
-            acc[mono] = get(mono, 0) + coeff * scale
-        return Polynomial._make(acc, den)
-
     def __add__(self, other) -> "Polynomial":
         p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return self._plus(p, 1)
+        return NotImplemented if p is None else Polynomial.sum_of_products([(self, 1), (p, 1)])
 
     __radd__ = __add__
 
@@ -435,23 +425,15 @@ class Polynomial:
 
     def __sub__(self, other) -> "Polynomial":
         p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return self._plus(p, -1)
+        return NotImplemented if p is None else Polynomial.sum_of_products([(self, 1), (p, -1)])
 
     def __rsub__(self, other) -> "Polynomial":
         p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return p._plus(self, -1)
+        return NotImplemented if p is None else Polynomial.sum_of_products([(p, 1), (self, -1)])
 
     def __mul__(self, other) -> "Polynomial":
-        if _is_scalar(other):
-            num, den = other.numerator, other.denominator
-            return Polynomial._make({m: c * num for m, c in self._terms.items()}, self._den * den)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial.sum_of_products([(self, other)])
+        p = self._coerce(other)
+        return NotImplemented if p is None else Polynomial.sum_of_products([(self, p)])
 
     __rmul__ = __mul__
 
@@ -478,7 +460,9 @@ class Polynomial:
         """Replace variables by polynomials (or scalars); others pass through.
 
         The substitution is simultaneous: a variable that a bound
-        polynomial brings in is left as it is.
+        polynomial brings in is left as it is.  No command calls it; with
+        eulerchi.twisted_chern_polynomial it is the paper's substitution,
+        the check that G equals chi with the twisted classes put in.
         """
         polys: dict[int, Polynomial] = {}
         for var, value in bindings.items():
@@ -505,7 +489,11 @@ class Polynomial:
         return self._den
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at a point binding every occurring variable to an int or Fraction."""
+        """Evaluate at a point binding every occurring variable to an int or Fraction.
+
+        No command calls it; it is the second route that ties chi and G to
+        eulerchi.evaluate_chi (test_twisted_evaluation_routes_agree).
+        """
         values = {}
         for var in self.variables():
             if var not in point:

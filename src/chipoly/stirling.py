@@ -21,7 +21,9 @@ class StirlingTable:
     """Memoized triangle of unsigned Stirling numbers of the first kind.
 
     Rows are built on demand and kept forever; filling is guarded by a
-    lock so concurrent lookups stay consistent.
+    lock so concurrent lookups stay consistent.  The table serves the
+    stirling command and, through unsigned_stirling1, is the reference
+    that eulerchi._weights (which builds no row) is tested against.
     """
 
     def __init__(self):
@@ -67,7 +69,7 @@ _TABLE = StirlingTable()
 
 
 def unsigned_stirling1(n: int, m: int) -> int:
-    """Unsigned Stirling number of the first kind [n, m]."""
+    """Unsigned Stirling number [n, m]; the reference eulerchi._weights is tested against."""
     return _TABLE.unsigned(n, m)
 
 

@@ -158,7 +158,11 @@ def elementary_values(values, count: int) -> list[int]:
 
 
 def power_sum_values(values, r: int) -> int:
-    """The numeric power sum of the given integers, with p_0 = count."""
+    """The numeric power sum of the given integers, with p_0 = count.
+
+    The reference for the integer Newton p_k that eulerchi computes from
+    the classes of a split bundle.
+    """
     _check_int(r, "power-sum index", 0)
     values = [_check_int(a, "values") for a in values]
     return sum(a**r for a in values) if r else len(values)

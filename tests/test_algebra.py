@@ -162,6 +162,22 @@ def test_substitute_refuses_unknown_names_and_inexact_values(bindings, error):
         (C1**2 + C2).substitute(bindings)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda p: p + "x", TypeError, "unsupported operand"),
+    (lambda p: p - "x", TypeError, "unsupported operand"),
+    (lambda p: "x" - p, TypeError, "unsupported operand"),
+    (lambda p: p * 1.5, TypeError, "unsupported operand"),
+    (lambda p: p / p, TypeError, "unsupported operand"),
+    (lambda p: Polynomial.sum_of_products([(p, "x")]), TypeError, "factors must be"),
+    (lambda p: p.coefficient(["C1"]), ValueError, "exponents must map variable names"),
+], ids=["p+str", "p-str", "str-p", "p*float", "p/p", "sum_of_products-str", "coefficient-list"])
+def test_operators_refuse_other_operands(call, error, match):
+    """Operands the arithmetic does not take (a str, a float, a polynomial
+    divisor) and exponents that are not a mapping are refused, not coerced."""
+    with pytest.raises(error, match=match):
+        call(C1**2 + C2 / 3)
+
+
 def test_eval_examples():
     p = C1**2 - 2 * C2
     assert p.evaluate({"C1": 3, "C2": 2}) == 5
@@ -452,6 +468,8 @@ def test_equality_with_scalars():
     assert Polynomial.constant(3) == 3
     assert Polynomial.zero() == 0
     assert not (C1 == 3)
+    # Any other operand is left to Python, which compares identity.
+    assert C1.__eq__("x") is NotImplemented and (C1 == "x") is False
 
 
 # -- property tests ------------------------------------------------------
@@ -599,15 +617,23 @@ def test_integer_core_matches_fraction_reference(a_terms, b_terms, scalar, power
     p, q = Polynomial.from_terms(a_terms), Polynomial.from_terms(b_terms)
     a, b = _ref(a_terms), _ref(b_terms)
     _assert_canonical(p, a)
+    s = {frozenset(): scalar}
     _assert_canonical(p + q, _ref_add(a, b))
     _assert_canonical(p - q, _ref_add(a, b, -1))
+    _assert_canonical(scalar - p, _ref_add(s, a, -1))
     _assert_canonical(p * q, _ref_mul(a, b))
+    _assert_canonical(p * scalar, _ref_mul(a, s))
     _assert_canonical(p / scalar, {k: c / scalar for k, c in a.items()})
+    # Zero results, cancelled or scaled away, have denominator 1.
+    _assert_canonical(p - p, {})
+    _assert_canonical(p * 0, {})
     expected = {frozenset(): Fraction(1)}
     for _ in range(power):
         expected = _ref_mul(expected, a)
     _assert_canonical(p**power, expected)
-    assert Polynomial.sum_of_products([(p, q), (q, scalar)], 6) == (p * q + q * scalar) / 6
+    summed = _ref_add(_ref_mul(a, b), _ref_mul(b, s))
+    _assert_canonical(Polynomial.sum_of_products([(p, q), (q, scalar)], 6),
+                      {k: c / 6 for k, c in summed.items()})
 
 
 # -- the cached canonical order ---------------------------------------------

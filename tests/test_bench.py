@@ -28,6 +28,20 @@ def test_bench_single_method_no_comparison():
     assert "not comparable" in report.to_text()
 
 
+def test_bench_repetitions_that_differ_disagree(monkeypatch):
+    """Two repetitions of one method that build different polynomials are a
+    disagreement, even with no second method to compare against."""
+    from chipoly import bench
+    from chipoly.algebra import Polynomial
+
+    builds = iter([Polynomial.constant(1), Polynomial.constant(2)])
+    monkeypatch.setattr(bench, "_build_once", lambda dim, method: (0.5, next(builds)))
+    report = run_bench(3, methods=("recursive",), repetitions=2)
+    assert report.agreement is False
+    assert report.timings[0].seconds == [0.5, 0.5]
+    assert "RESULTS DIFFER" in report.to_text()
+
+
 def test_bench_dim_one():
     report = run_bench(1, repetitions=1)
     assert report.agreement is True

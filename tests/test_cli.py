@@ -4,7 +4,6 @@ import io
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +15,8 @@ from chipoly.cli import main
 from chipoly.eulerchi import ChernVector, chi_polynomial, evaluate_chi
 from chipoly.oracle import Mismatch, VerifyReport
 from chipoly.symmfun import power_sum_recursive
+
+import record_cli_goldens
 
 
 def run_cli(capsys, argv):
@@ -484,20 +485,21 @@ def test_cli_fuzz_exits_0_or_2(argv):
     assert code in (0, 2), (argv, code, err.getvalue())
 
 
-_GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())["cases"]
+_GOLDENS = json.loads(record_cli_goldens.GOLDENS.read_text())
 
 
-@pytest.mark.parametrize("case", _GOLDENS, ids=lambda c: " ".join(c["argv"]) or "(no argv)")
-def test_cli_output_matches_goldens(case, capsys, monkeypatch):
-    # Help, usage and error text as argparse wrote it when every
-    # subcommand's flags were registered up front.
+@pytest.mark.parametrize("index", range(len(_GOLDENS["argvs"])),
+                         ids=[" ".join(argv) or "(no argv)" for argv in _GOLDENS["argvs"]])
+def test_cli_output_matches_goldens(index, monkeypatch):
+    # Help, usage and error text as this CPython's argparse wrote it when
+    # every subcommand's flags were registered up front.
+    record = record_cli_goldens.record_for(_GOLDENS)
+    if record is None:
+        pytest.fail(f"cli_goldens.json has no record for CPython {record_cli_goldens.RELEASE}; "
+                    "capture one at a commit whose CLI text is known to be right with "
+                    "PYTHONPATH=src COLUMNS=80 python tests/record_cli_goldens.py")
     monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = main(list(case["argv"]))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+    assert record_cli_goldens.run(_GOLDENS["argvs"][index]) == record["cases"][index]
 
 
 def test_parsing_registers_only_the_chosen_subcommands_flags():
