@@ -315,6 +315,7 @@ class Polynomial:
         denominator, so no intermediate sum is built.  This is the only
         loop that adds terms up: the operators and from_terms call it.
         """
+        _check_int(den, "denominator", 1)
         factors = []
         common = 1
         for a, b in pairs:

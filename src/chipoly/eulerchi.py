@@ -10,9 +10,10 @@ where [.,.] are unsigned Stirling numbers of the first kind and B_k is
 the k-th power sum written in the elementary-symmetric variables C_i
 (which stand in for the Chern classes).  Twisting by O(t) shifts every
 Chern root by t, so B_k becomes sum_j binom(k, j) T^(k-j) B_j and chi(F(t))
-is the same sum over the same B_j with weights q_j in T: the coefficients
-of (x + 1 + T)(x + 2 + T)...(x + N + T), since
-sum_k [N+1, k+1] x^k = (x + 1)(x + 2)...(x + N) (see _weights).
+is the same sum over the same B_j with weights q_j in T: as
+sum_k [N+1, k+1] x^k = (x + 1)...(x + N), q_j is the coefficient of x^j in
+(x + 1 + T)...(x + N + T), that is e_(N-j)(1 + T, ..., N + T), the
+elementary symmetric function that gives a split bundle's Chern classes.
 
 Which route does what:
 - chi_polynomial (its default method, "recursive") and
@@ -47,7 +48,7 @@ from functools import lru_cache
 from operator import mul
 
 from .algebra import RANK, TWIST, Polynomial, _check_int, _slot, chern
-from .symmfun import PowerSumCache, power_sum_matrix, power_sum_recursive
+from .symmfun import PowerSumCache, elementary_values, power_sum_matrix, power_sum_recursive
 
 METHODS = ("matrix", "recursive")
 # Entries kept by each of the chi and G caches below; cached polynomials
@@ -82,18 +83,11 @@ def _weights(dim: int, twist) -> tuple:
     q_j weighs B_j in N! * chi(F(twist)): B_k of the roots shifted by twist
     is sum_j binom(k, j) twist^(k-j) B_j.  So the q_j are the coefficients
     of R(x + twist), where R(x) = sum_k [N+1, k+1] x^k = (x + 1)...(x + N)
-    is the rising factorial that defines the Stirling numbers.  The
-    product of the N factors x + m + twist gives them in O(N^2) steps,
-    with no Stirling row.  twist is an integer.
+    defines the Stirling numbers: q_j = e_(N-j)(1 + twist, ..., N + twist),
+    from elementary_values, which also gives a split bundle's Chern classes.
+    No Stirling row is built.  twist is an integer.
     """
-    q = [1]
-    for m in range(1, dim + 1):  # q *= x + m + twist, in place from the top
-        shift = twist + m
-        q.append(q[-1])
-        for i in range(m - 1, 0, -1):
-            q[i] = q[i - 1] + shift * q[i]
-        q[0] = shift * q[0]
-    return tuple(q)
+    return (*reversed(elementary_values(range(1 + twist, dim + 1 + twist), dim)), 1)
 
 
 def _closed_form(rank, dim: int, twisted: bool) -> Polynomial:

@@ -143,16 +143,17 @@ def power_sum_recursive(r: int, cache: PowerSumCache | None = None) -> Polynomia
 
 
 def elementary_values(values, count: int) -> list[int]:
-    """First `count` elementary symmetric functions of the given integers.
+    """e_1..e_count of the given integers; e_k = 0 for k beyond their number.
 
-    Computed by incrementally multiplying out prod (1 + a*z) and reading
-    off the coefficients of z^1..z^count; e_k = 0 for k beyond the number
-    of values.
+    Multiplies out prod (1 + a*z) one value at a time, updating only the
+    coefficients the values so far can reach, and reads off z^1..z^count.
+    This one loop gives a split bundle's Chern classes and, from the
+    shifted arguments 1 + t, ..., N + t, eulerchi's twist weights.
     """
     coeffs = [1] + [0] * _check_int(count, "count", 0)
-    for a in values:
+    for i, a in enumerate(values, 1):
         _check_int(a, "values")
-        for j in range(count, 0, -1):
+        for j in range(min(i, count), 0, -1):
             coeffs[j] += a * coeffs[j - 1]
     return coeffs[1:]
 

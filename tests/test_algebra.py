@@ -290,9 +290,15 @@ def test_bools_are_not_integers():
     (lambda: StirlingTable().ensure_rows(2.5), "row index"),
     (lambda: StirlingTable().ensure_rows(True), "row index"),
     (lambda: unsigned_stirling1(2.5, 1), "^n: "),
+    (lambda: Polynomial.sum_of_products([(C1, 1)], 0), "denominator"),
+    (lambda: Polynomial.sum_of_products([(C1, 1)], -2), "denominator"),
+    (lambda: Polynomial.sum_of_products([(C1, 1)], True), "denominator"),
+    (lambda: Polynomial.sum_of_products([(C1, 1)], 1.5), "denominator"),
 ], ids=["h0-degree", "h0-dim", "elementary", "next_int", "verify-max_a", "verify-trials",
         "verify-twist_range", "verify-seed", "bench-repetitions", "stirling-row",
-        "stirling-ensure_rows-float", "stirling-ensure_rows-bool", "unsigned_stirling1"])
+        "stirling-ensure_rows-float", "stirling-ensure_rows-bool", "unsigned_stirling1",
+        "sum_of_products-den-zero", "sum_of_products-den-negative", "sum_of_products-den-bool",
+        "sum_of_products-den-float"])
 def test_integer_arguments_raise_value_error(call, noun):
     with pytest.raises(ValueError, match=noun):
         call()

@@ -604,5 +604,3 @@ def test_twisted_weights_are_shifted_stirling_sums(dim):
 
     for t in range(-5, 6):
         assert list(eulerchi._weights(dim, t)) == expected(t)
-    if dim <= 8:
-        assert list(eulerchi._weights(dim, T)) == expected(T)

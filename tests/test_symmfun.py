@@ -99,6 +99,10 @@ def test_elementary_values_examples():
     assert elementary_values((0, 0, 0, 0), 3) == [0, 0, 0]
     assert elementary_values((5,), 3) == [5, 0, 0]
     assert elementary_values((2, 2), 4) == [4, 4, 0, 0]
+    assert elementary_values((1, 2, 3, 4), 2) == [10, 35]  # more values than count
+    assert elementary_values((-1, 2), 3) == [1, -2, 0]
+    assert elementary_values((), 2) == [0, 0]
+    assert elementary_values((5,), 0) == []
     with pytest.raises(ValueError):
         elementary_values((1,), -1)
 
