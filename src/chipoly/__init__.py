@@ -1,7 +1,6 @@
 """Exact Euler-characteristic polynomials in Chern classes on projective space."""
 
 from .algebra import AUX, RANK, TWIST, Polynomial, chern, standard_weight
-from .bench import BenchReport, MethodTiming, run_bench
 from .eulerchi import (
     ChernVector,
     build_chi_polynomial,
@@ -37,6 +36,18 @@ from .symmfun import (
 )
 
 __version__ = "0.1.0"
+
+# chipoly.bench, which only the bench command uses, is imported on first use.
+_FROM_BENCH = ("BenchReport", "MethodTiming", "run_bench")
+
+
+def __getattr__(name):
+    if name in _FROM_BENCH:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AUX",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 # multiprocessing, platform and statistics load where used: no other command needs them.
 
+from ._record import Record
 from .algebra import Polynomial, _check_int, _is_scalar
 from .eulerchi import METHODS, build_chi_polynomial
 from .symmfun import PowerSumCache
@@ -25,13 +25,20 @@ DEFAULT_MATRIX_CUTOFF = 16
 _MAX_TIMEOUT = 10**6
 
 
-@dataclass
-class MethodTiming:
-    method: str
-    seconds: list = field(default_factory=list)
-    terms: int | None = None
-    timed_out: bool = False
-    note: str | None = None
+class MethodTiming(Record):
+    """One method's runs: a mutable record of (method, seconds, terms,
+    timed_out, note), filled in as the runs finish.  Each timing starts
+    with its own empty list of seconds."""
+
+    __slots__ = __match_args__ = ("method", "seconds", "terms", "timed_out", "note")
+
+    def __init__(self, method: str, seconds: list | None = None, terms: int | None = None,
+                 timed_out: bool = False, note: str | None = None):
+        self.method = method
+        self.seconds = [] if seconds is None else seconds
+        self.terms = terms
+        self.timed_out = timed_out
+        self.note = note
 
     @property
     def median_seconds(self) -> float | None:
@@ -42,14 +49,24 @@ class MethodTiming:
         return statistics.median(self.seconds)
 
 
-@dataclass
-class BenchReport:
-    dim: int
-    repetitions: int
-    timeout: float | None
-    machine: str
-    timings: list = field(default_factory=list)
-    agreement: bool | None = None
+class BenchReport(Record):
+    """A mutable record of (dim, repetitions, timeout, machine, timings,
+    agreement): run_bench appends a MethodTiming per method and sets
+    agreement once two methods have finished.  Each report starts with its
+    own empty list of timings."""
+
+    __slots__ = __match_args__ = (
+        "dim", "repetitions", "timeout", "machine", "timings", "agreement",
+    )
+
+    def __init__(self, dim: int, repetitions: int, timeout: float | None, machine: str,
+                 timings: list | None = None, agreement: bool | None = None):
+        self.dim = dim
+        self.repetitions = repetitions
+        self.timeout = timeout
+        self.machine = machine
+        self.timings = [] if timings is None else timings
+        self.agreement = agreement
 
     def to_json(self) -> str:
         return json.dumps(

@@ -18,7 +18,6 @@ from operator import methodcaller
 from typing import NamedTuple
 
 from .algebra import TWIST, Polynomial
-from .bench import DEFAULT_MATRIX_CUTOFF, run_bench
 from .eulerchi import (
     METHODS,
     ChernVector,
@@ -218,6 +217,14 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def run_bench(*args, **kwargs):
+    """chipoly.bench.run_bench, imported on the first call: only the bench
+    command needs that module."""
+    from . import bench
+
+    return bench.run_bench(*args, **kwargs)
+
+
 def _cmd_bench(args) -> int:
     report = run_bench(
         args.dim,
@@ -276,6 +283,8 @@ def _verify_flags(p) -> None:
 
 
 def _bench_flags(p) -> None:
+    from .bench import DEFAULT_MATRIX_CUTOFF
+
     p.add_argument("--dim", type=_int_arg, required=True)
     p.add_argument("--methods", type=_methods_arg, default=METHODS,
                    help="comma-separated subset of matrix,recursive")
@@ -306,20 +315,25 @@ _SUBCOMMANDS = (
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that registers its flags when it first parses.
+    """A subcommand's parser that is built when it first parses.
 
-    A command line parses one subcommand, so the flags of the other six
+    Until then the object holds only its arguments: ArgumentParser.__init__,
+    the handler and parser defaults and the flags all wait for the first
+    parse_known_args, which is the one method argparse's subparsers action
+    calls on it.  A command line parses one subcommand, so the other six
     are never built.  The top-level usage, help listing and invalid-choice
-    message need only the subcommands' names and help texts.
+    message need only the subcommands' names and help texts, which the
+    subparsers action keeps itself.
     """
 
-    def __init__(self, *args, flags=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._flags = flags
+    def __init__(self, *, handler, flags, **kwargs):
+        self._pending = (handler, flags, kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._flags is not None:
-            flags, self._flags = self._flags, None
+        if self._pending is not None:
+            (handler, flags, kwargs), self._pending = self._pending, None
+            super().__init__(**kwargs)
+            self.set_defaults(handler=handler, parser=self)
             flags(self)
         return super().parse_known_args(args, namespace)
 
@@ -333,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True, parser_class=_SubcommandParser
     )
     for name, help_text, handler, flags in _SUBCOMMANDS:
-        p = subs.add_parser(name, help=help_text, flags=flags)
-        p.set_defaults(handler=handler, parser=p)
+        subs.add_parser(name, help=help_text, handler=handler, flags=flags)
     return parser
 
 

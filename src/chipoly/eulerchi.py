@@ -42,11 +42,11 @@ left symbolic as the variable n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from ._record import FrozenRecord
 from .algebra import RANK, TWIST, Polynomial, _check_int, _slot, chern
 from .symmfun import PowerSumCache, elementary_values, power_sum_matrix, power_sum_recursive
 
@@ -244,8 +244,8 @@ def chi_twist_polynomial(rank, dim: int) -> Polynomial:
     """The polynomial G with chi(F(t)) = G(c_1, ..., c_N, t).
 
     Built from Waring's closed form (_closed_form), already in canonical
-    order; twisted_chern_polynomial is its independent check.  Cached per (rank, dim), however the call spells them, up to
-    CACHE_SIZE of them.
+    order; twisted_chern_polynomial is its independent check.  Cached per
+    (rank, dim), however the call spells them, up to CACHE_SIZE of them.
     """
     return _cached_chi_twist(rank, dim)
 
@@ -270,32 +270,33 @@ def _newton_power_sums(rank: int, classes: tuple) -> tuple:
     return tuple(p)
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(FrozenRecord):
     """Chern classes of a rank `rank` sheaf on projective `dim`-space.
 
-    Once the fields are checked, the vector keeps the power sums p_0..p_N
-    of its Chern roots as the private attribute _power_sums, which
-    evaluate_chi reads; it is not a field, so equality, hashing and repr
-    see only dim, rank and classes.
+    A frozen record of (dim, rank, classes): it compares, hashes and prints
+    as those three fields, in that order, and refuses assignment.  Once the
+    fields are checked, the vector keeps the power sums p_0..p_N of its
+    Chern roots as the private attribute _power_sums, which evaluate_chi
+    reads; it is not a field, and a copy or an unpickled vector computes
+    its own from its classes.
     """
 
-    dim: int
-    rank: int
-    classes: tuple
+    __slots__ = ("dim", "rank", "classes", "_power_sums")
+    __match_args__ = ("dim", "rank", "classes")
 
-    def __post_init__(self):
-        _check_int(self.dim, "dimension", 1)
-        _check_int(self.rank, "rank", 1)
-        classes = tuple(self.classes)
-        if len(classes) != self.dim:
-            raise ValueError(
-                f"need exactly {self.dim} Chern classes, got {len(classes)}"
-            )
+    def __init__(self, dim: int, rank: int, classes: tuple):
+        _check_int(dim, "dimension", 1)
+        _check_int(rank, "rank", 1)
+        classes = tuple(classes)
+        if len(classes) != dim:
+            raise ValueError(f"need exactly {dim} Chern classes, got {len(classes)}")
         for c in classes:
             _check_int(c, "Chern classes")
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "_power_sums", _newton_power_sums(self.rank, classes))
+        set_field = object.__setattr__
+        set_field(self, "dim", dim)
+        set_field(self, "rank", rank)
+        set_field(self, "classes", classes)
+        set_field(self, "_power_sums", _newton_power_sums(rank, classes))
 
 
 def _chi_numerator(cv: ChernVector, twist: int | None = None) -> int:

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
+from ._record import FrozenRecord, Record
 from .algebra import _check_int
 # verify checks _chi_numerator, the integer that evaluate_chi divides by
 # N!; evaluate_chi stays importable from this module under its own name.
@@ -59,21 +59,24 @@ class Lcg:
                 return draw % bound
 
 
-@dataclass(frozen=True)
-class SplitBundle:
-    """A totally split bundle O(a_1) + ... + O(a_n) on projective dim-space."""
+class SplitBundle(FrozenRecord):
+    """A totally split bundle O(a_1) + ... + O(a_n) on projective dim-space.
 
-    dim: int
-    twists: tuple
+    A frozen record of (dim, twists), the summands' degrees as a tuple.
+    """
 
-    def __post_init__(self):
-        _check_int(self.dim, "dimension", 1)
-        twists = tuple(self.twists)
+    __slots__ = __match_args__ = ("dim", "twists")
+
+    def __init__(self, dim: int, twists: tuple):
+        _check_int(dim, "dimension", 1)
+        twists = tuple(twists)
         if not twists:
             raise ValueError("a split bundle needs at least one summand")
         for a in twists:
             _check_int(a, "summand degrees")
-        object.__setattr__(self, "twists", twists)
+        set_field = object.__setattr__
+        set_field(self, "dim", dim)
+        set_field(self, "twists", twists)
 
     @property
     def rank(self) -> int:
@@ -95,27 +98,47 @@ def split_chi_twist(bundle: SplitBundle, t: int) -> int:
     return sum(h0_line_bundle(bundle.dim, a + t) for a in bundle.twists)
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    """One failed comparison, with everything needed to replay it."""
+class Mismatch(FrozenRecord):
+    """One failed comparison, with everything needed to replay it.
 
-    trial: int
-    twists: tuple
-    t: int | None
-    expected: int
-    actual: Fraction
+    A frozen record of (trial, twists, t, expected, actual): t is None for
+    the untwisted check, and actual is the rational value evaluate_chi gave.
+    """
+
+    __slots__ = __match_args__ = ("trial", "twists", "t", "expected", "actual")
+
+    def __init__(self, trial: int, twists: tuple, t: int | None, expected: int,
+                 actual: Fraction):
+        set_field = object.__setattr__
+        set_field(self, "trial", trial)
+        set_field(self, "twists", twists)
+        set_field(self, "t", t)
+        set_field(self, "expected", expected)
+        set_field(self, "actual", actual)
 
 
-@dataclass
-class VerifyReport:
-    dim: int
-    rank: int
-    trials: int
-    max_a: int
-    seed: int
-    twist_range: int
-    checks: int = 0
-    mismatches: list = field(default_factory=list)
+class VerifyReport(Record):
+    """What verify checked and every mismatch it found.
+
+    A mutable record of (dim, rank, trials, max_a, seed, twist_range,
+    checks, mismatches): verify counts checks and appends mismatches as it
+    goes.  Each report starts with its own empty list.
+    """
+
+    __slots__ = __match_args__ = (
+        "dim", "rank", "trials", "max_a", "seed", "twist_range", "checks", "mismatches",
+    )
+
+    def __init__(self, dim: int, rank: int, trials: int, max_a: int, seed: int,
+                 twist_range: int, checks: int = 0, mismatches: list | None = None):
+        self.dim = dim
+        self.rank = rank
+        self.trials = trials
+        self.max_a = max_a
+        self.seed = seed
+        self.twist_range = twist_range
+        self.checks = checks
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:

@@ -1,13 +1,16 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import chipoly
 from chipoly.algebra import Polynomial
 from chipoly.bench import BenchReport, MethodTiming
 from chipoly import cli
@@ -378,6 +381,36 @@ def test_cli_import_skips_bench_only_modules():
     assert proc.stdout.strip() == "[]"
 
 
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+slow = {"dataclasses", "inspect", "chipoly.bench"}
+before = set(sys.modules)
+import chipoly.cli
+after_cli = set(sys.modules)
+import chipoly
+added = (after_cli - before, set(sys.modules) - after_cli)
+print([sorted(slow & new) for new in added])
+names = {}
+exec("from chipoly import *", names)
+lazy = [chipoly.BenchReport, chipoly.MethodTiming, chipoly.run_bench]
+assert [f.__module__ for f in lazy] == ["chipoly.bench"] * 3, lazy
+print(sorted(set(chipoly.__all__) - set(names)))
+"""
+
+
+def test_import_leaves_out_dataclasses_inspect_and_bench():
+    """Importing chipoly.cli, then chipoly, in a fresh interpreter loads none
+    of dataclasses, inspect and chipoly.bench; the bench names still resolve
+    from the package, on first use.  Modules loaded before the import (say by
+    a .pth file) do not count."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chipoly.__file__)))
+    proc = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[[], []]", "[]"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chipoly", "eval", "--rank", "1", "--dim", "3",
@@ -502,22 +535,26 @@ def test_cli_output_matches_goldens(index, monkeypatch):
     assert record_cli_goldens.run(_GOLDENS["argvs"][index]) == record["cases"][index]
 
 
-def test_parsing_registers_only_the_chosen_subcommands_flags():
+def test_parsing_registers_only_the_chosen_subcommands_flags(monkeypatch):
+    """build_parser initialises the top-level parser alone; a parse then
+    initialises the chosen subcommand's parser, once, with its flags, and
+    none of the other six."""
+    initialised = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        initialised.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
     parser = cli.build_parser()
     subparsers = parser._subparsers._group_actions[0].choices
     assert list(subparsers) == [name for name, *_ in cli._SUBCOMMANDS]
-
-    def flags(name):
-        return [a.dest for a in subparsers[name]._actions]
-
-    assert all(flags(name) == ["help"] for name in subparsers)
-    args = parser.parse_args(["verify", "--dim", "2", "--rank", "3"])
-    assert (args.dim, args.rank, args.trials) == (2, 3, 50)
-    assert args.parser is subparsers["verify"]
-    assert flags("verify") == [
-        "help", "dim", "rank", "trials", "max_a", "seed", "twist_range", "format",
-    ]
-    assert all(flags(name) == ["help"] for name in subparsers if name != "verify")
-    # A second parse registers nothing twice.
-    parser.parse_args(["verify", "--dim", "3", "--rank", "1"])
-    assert len(flags("verify")) == 8
+    assert initialised == ["chipoly"]
+    verify_flags = ["help", "dim", "rank", "trials", "max_a", "seed", "twist_range", "format"]
+    for argv in (["verify", "--dim", "2", "--rank", "3"], ["verify", "--dim", "3", "--rank", "1"]):
+        args = parser.parse_args(argv)
+        assert (args.dim, args.rank, args.trials) == (int(argv[2]), int(argv[4]), 50)
+        assert args.parser is subparsers["verify"] and args.handler is cli._cmd_verify
+        assert [a.dest for a in args.parser._actions] == verify_flags
+        assert initialised == ["chipoly", "chipoly verify"]

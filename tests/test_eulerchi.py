@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import random
@@ -277,19 +276,30 @@ def test_newton_power_sums_match_evaluated_b_j(dim):
         assert list(p) == [power_sum_values(degrees, j) for j in range(dim + 1)], degrees
 
 
-def test_chern_vector_shape_ignores_its_power_sums():
-    """The power sums are no field: equality, hashing, repr and the fields
-    are those of (dim, rank, classes), and a copy's sums match its classes."""
+def test_chern_vector_shape_ignores_its_power_sums(monkeypatch):
+    """The power sums are no field: equality, hashing, repr and the field
+    order are those of (dim, rank, classes), the vector is frozen, and a
+    copy's sums match its classes."""
     cv = ChernVector(2, 2, [5, 6])
-    assert cv == ChernVector(2, 2, (5, 6)) and hash(cv) == hash(ChernVector(2, 2, (5, 6)))
+    assert cv == ChernVector(dim=2, rank=2, classes=(5, 6))
+    assert hash(cv) == hash(ChernVector(2, 2, (5, 6))) == hash((2, 2, (5, 6)))
+    assert cv != ChernVector(2, 2, (5, 7)) and cv != (2, 2, (5, 6))
     assert repr(cv) == "ChernVector(dim=2, rank=2, classes=(5, 6))"
-    assert [f.name for f in dataclasses.fields(cv)] == ["dim", "rank", "classes"]
-    assert dataclasses.asdict(cv) == {"dim": 2, "rank": 2, "classes": (5, 6)}
+    assert ChernVector.__match_args__ == ("dim", "rank", "classes")
     assert cv._power_sums == (2, 5, 13)  # p_2 = c_1^2 - 2 c_2
-    replaced = dataclasses.replace(cv, classes=(1, -4))
-    assert replaced._power_sums == (2, 1, 9)
-    restored = pickle.loads(pickle.dumps(replaced))
-    assert restored == replaced and restored._power_sums == (2, 1, 9)
+    for name in ("dim", "classes", "_power_sums"):
+        with pytest.raises(AttributeError):
+            setattr(cv, name, getattr(cv, name))
+    replaced = cv.__replace__(classes=(1, -4))  # what copy.replace calls
+    assert replaced == ChernVector(2, 2, (1, -4)) and replaced._power_sums == (2, 1, 9)
+    newton = []
+    monkeypatch.setattr(eulerchi, "_newton_power_sums",
+                        lambda *args: newton.append(args) or (2, 1, 9))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(replaced, protocol))
+        assert restored == replaced and restored._power_sums == (2, 1, 9)
+    assert newton == [(2, (1, -4))] * (pickle.HIGHEST_PROTOCOL + 1)  # each one recomputed
+    monkeypatch.undo()
     assert evaluate_chi(restored, 3) == evaluate_chi(ChernVector(2, 2, (1, -4)), 3)
 
 
