@@ -54,12 +54,13 @@ constant).
 
 Every integer argument in the library (a rank, dimension, Chern class,
 twist, index, exponent or count) goes through ``_check_int``: an int that
-is not a bool, within the stated bounds, or a ``ValueError``.
+is not a bool, within the stated bounds, or a ``ValueError``.  It is
+checked once, where it enters a public function or record; the private
+helpers such calls reach take it as checked.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_left
@@ -88,7 +89,8 @@ def _is_int(x) -> bool:
 
 def _check_int(value, what: str, least=None, most=None):
     """value, if it is an int (not a bool) in least..most; else ValueError naming what."""
-    # type() first: the oracle's hot loop passes plain ints thousands of times.
+    # type() first: nearly every argument is a plain int, and ChernVector and
+    # elementary_values check one for each class or value they are given.
     if ((type(value) is int or _is_int(value)) and (least is None or least <= value)
             and (most is None or value <= most)):
         return value
@@ -569,6 +571,8 @@ class Polynomial:
 
         Any malformed payload raises ValueError.
         """
+        import json  # here, not at the top: only JSON input needs the parser
+
         try:
             payload = json.loads(text)
         except RecursionError:

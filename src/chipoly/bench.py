@@ -9,10 +9,10 @@ execute in a child process that can be killed cleanly.
 
 from __future__ import annotations
 
-import json
 import time
 
-# multiprocessing, platform and statistics load where used: no other command needs them.
+# json, multiprocessing, platform and statistics load where used: no other command
+# needs them.
 
 from ._record import Record
 from .algebra import Polynomial, _check_int, _is_scalar
@@ -69,6 +69,8 @@ class BenchReport(Record):
         self.agreement = agreement
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "dim": self.dim,

@@ -266,7 +266,7 @@ def _newton_power_sums(rank: int, classes: tuple) -> tuple:
     signed = [c if l % 2 else -c for l, c in enumerate(classes, 1)]
     p = [rank]
     for k in range(1, len(classes) + 1):
-        p.append(k * signed[k - 1] + sum(s * q for s, q in zip(signed, p[k - 1 : 0 : -1])))
+        p.append(k * signed[k - 1] + sum(map(mul, signed, p[k - 1 : 0 : -1])))
     return tuple(p)
 
 
@@ -306,17 +306,21 @@ def _chi_numerator(cv: ChernVector, twist: int | None = None) -> int:
     which cv computed once when it was built, with t = 0 when there is no
     twist.  The sum is the one chi and G are assembled from, with p_j in
     place of B_j, so no polynomial is built.  verify compares it with N!
-    times a direct count, in integers.
+    times a direct count, in integers.  twist is None or an integer that
+    the caller has checked: evaluate_chi checks it, and verify's twists
+    are the integers of its window.
     """
-    t = 0 if twist is None else _check_int(twist, "twist")
-    return sum(map(mul, _weights(cv.dim, t), cv._power_sums))
+    return sum(map(mul, _weights(cv.dim, 0 if twist is None else twist), cv._power_sums))
 
 
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
     """Exact chi(F) (or chi(F(twist))) at a concrete Chern vector.
 
-    Returns (1/N!) * sum_j q_j(t) p_j, the integer _chi_numerator over N!.
+    Returns (1/N!) * sum_j q_j(t) p_j, the integer _chi_numerator over N!,
+    once a twist that is not None is checked.
     """
+    if twist is not None:
+        _check_int(twist, "twist")
     return Fraction(_chi_numerator(cv, twist), math.factorial(cv.dim))
 
 

@@ -98,8 +98,8 @@ def falling_factorial_poly(n: int) -> Polynomial:
     )
 
 
-def h0_line_bundle(dim: int, degree: int) -> int:
-    """chi(O(degree)) on projective dim-space, exact for any integer degree.
+def _line_bundle_count(dim: int, degree: int) -> int:
+    """chi(O(degree)) on projective dim-space, for a dim and degree already checked.
 
     The binomial binom(degree + dim, dim) read as a polynomial in degree,
     the rising factorial (degree+1)...(degree+dim) over dim!, counted by
@@ -107,11 +107,17 @@ def h0_line_bundle(dim: int, degree: int) -> int:
     count of monomials), 0 for -dim <= degree <= -1 (a factor of the
     product is 0), and (-1)^dim * binom(-degree - 1, dim) for
     degree < -dim (every factor negative, so the product reflects).  The
-    split-bundle oracle counts with it.
+    split-bundle oracle sums it over a bundle's summands.
     """
-    _check_int(dim, "dimension", 1)
-    _check_int(degree, "degree")
     if degree >= 0:
         return math.comb(degree + dim, dim)
     count = math.comb(-degree - 1, dim)  # 0 for -dim <= degree <= -1
     return -count if dim % 2 else count
+
+
+def h0_line_bundle(dim: int, degree: int) -> int:
+    """chi(O(degree)) on projective dim-space, exact for any integer degree.
+
+    _line_bundle_count once dim (at least 1) and degree are checked.
+    """
+    return _line_bundle_count(_check_int(dim, "dimension", 1), _check_int(degree, "degree"))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from chipoly.algebra import AUX, RANK, TWIST, Polynomial, chern, standard_weight
 from chipoly.bench import run_bench
-from chipoly.oracle import Lcg, verify
+from chipoly.oracle import Lcg, SplitBundle, split_chi_twist, verify
 from chipoly.stirling import StirlingTable, h0_line_bundle, unsigned_stirling1
 from chipoly.symmfun import elementary_values
 
@@ -281,6 +281,8 @@ def test_bools_are_not_integers():
     (lambda: h0_line_bundle(True, 3), "dimension"),
     (lambda: elementary_values([1.5, 2], 2), "values"),
     (lambda: Lcg(1).next_int(2.5), "bound"),
+    (lambda: split_chi_twist(SplitBundle(2, (1,)), 1.5), "twist"),
+    (lambda: split_chi_twist(SplitBundle(2, (1,)), True), "twist"),
     (lambda: verify(2, 2, 1, True, 1), "max-a: expected an integer, at least 0, at most 65535"),
     (lambda: verify(2, 2, 2.5, 3, 1), "trials"),
     (lambda: verify(2, 2, 1, 3, 1, twist_range=1.5), "twist-range"),
@@ -294,7 +296,8 @@ def test_bools_are_not_integers():
     (lambda: Polynomial.sum_of_products([(C1, 1)], -2), "denominator"),
     (lambda: Polynomial.sum_of_products([(C1, 1)], True), "denominator"),
     (lambda: Polynomial.sum_of_products([(C1, 1)], 1.5), "denominator"),
-], ids=["h0-degree", "h0-dim", "elementary", "next_int", "verify-max_a", "verify-trials",
+], ids=["h0-degree", "h0-dim", "elementary", "next_int", "split_chi_twist-float",
+        "split_chi_twist-bool", "verify-max_a", "verify-trials",
         "verify-twist_range", "verify-seed", "bench-repetitions", "stirling-row",
         "stirling-ensure_rows-float", "stirling-ensure_rows-bool", "unsigned_stirling1",
         "sum_of_products-den-zero", "sum_of_products-den-negative", "sum_of_products-den-bool",

@@ -384,7 +384,7 @@ def test_cli_import_skips_bench_only_modules():
 _IMPORT_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
-slow = {"dataclasses", "inspect", "chipoly.bench"}
+slow = {"dataclasses", "inspect", "json", "chipoly.bench"}
 before = set(sys.modules)
 import chipoly.cli
 after_cli = set(sys.modules)
@@ -401,9 +401,9 @@ print(sorted(set(chipoly.__all__) - set(names)))
 
 def test_import_leaves_out_dataclasses_inspect_and_bench():
     """Importing chipoly.cli, then chipoly, in a fresh interpreter loads none
-    of dataclasses, inspect and chipoly.bench; the bench names still resolve
-    from the package, on first use.  Modules loaded before the import (say by
-    a .pth file) do not count."""
+    of dataclasses, inspect, json and chipoly.bench; the bench names still
+    resolve from the package, on first use.  Modules loaded before the import
+    (say by a .pth file) do not count."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(chipoly.__file__)))
     proc = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, src],
                           capture_output=True, text=True)

@@ -1,6 +1,8 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -8,11 +10,14 @@ import chipoly.oracle as oracle_mod
 from chipoly.eulerchi import evaluate_chi
 from chipoly.oracle import (
     Lcg,
+    Mismatch,
     SplitBundle,
+    VerifyReport,
     split_chi,
     split_chi_twist,
     verify,
 )
+from chipoly.stirling import h0_line_bundle
 
 
 def test_lcg_is_the_documented_generator():
@@ -193,3 +198,88 @@ def test_line_bundle_trivial_case():
     from chipoly.eulerchi import evaluate_chi
 
     assert evaluate_chi(cv) == Fraction(1)
+
+
+def _reference_verify(dim, rank, trials, max_a, seed, twist_range):
+    """verify as a plain loop: every twist, then a checked count per summand.
+
+    The production _chi_numerator is read from the oracle module, so a
+    fault patched in there reaches both this loop and verify.
+    """
+    rng = Lcg(seed)
+    report = VerifyReport(dim, rank, trials, max_a, seed, twist_range)
+    fact = math.factorial(dim)
+    for trial in range(trials):
+        degrees = tuple(rng.next_int(max_a + 1) for _ in range(rank))
+        cv = SplitBundle(dim, degrees).chern_vector()
+        for t in chain((None,), range(-twist_range, twist_range + 1)):
+            got = oracle_mod._chi_numerator(cv, t)
+            want = sum(h0_line_bundle(dim, a + (t or 0)) for a in degrees)
+            report.checks += 1
+            if got != fact * want:
+                report.mismatches.append(Mismatch(trial, degrees, t, want, Fraction(got, fact)))
+    return report
+
+
+def _differential_cases():
+    # twist_range dim + 2 > dim, so with max-a 0 (and small draws) a + t
+    # falls below -dim and the counts take the reflection branch.
+    for dim in range(1, 15):
+        for rank in (1, 3, 5):
+            for max_a in (0, 4, 65535):
+                for seed in (1, 7, 2024):
+                    yield dim, rank, 3, max_a, seed, dim + 2
+
+
+def test_verify_matches_the_reference_loop_byte_for_byte():
+    for case in _differential_cases():
+        want = _reference_verify(*case)
+        got = verify(*case)
+        assert got.ok and want.ok, case
+        assert got.to_text() == want.to_text(), case
+        assert got.to_json() == want.to_json(), case
+
+
+def test_verify_matches_the_reference_loop_under_a_fault(monkeypatch):
+    real = oracle_mod._chi_numerator
+
+    def faulty(cv, twist=None):
+        # Off by one at about a third of the checks, the untwisted ones included.
+        value = real(cv, twist)
+        return value + 1 if (sum(cv.classes) + (twist or 0)) % 3 == 0 else value
+
+    monkeypatch.setattr(oracle_mod, "_chi_numerator", faulty)
+    for case in _differential_cases():
+        want = _reference_verify(*case)
+        got = verify(*case)
+        assert want.mismatches, case
+        assert got.mismatches == want.mismatches, case
+        assert got.to_text() == want.to_text(), case
+        assert got.to_json() == want.to_json(), case
+
+
+def test_verify_streams_the_twist_window(monkeypatch):
+    """--twist-range has no upper limit: the window is walked, never built."""
+
+    class Enough(Exception):
+        pass
+
+    real = oracle_mod._chi_numerator
+    calls = []
+
+    def counted(cv, twist=None):
+        calls.append(twist)
+        if len(calls) > 20:
+            raise Enough
+        return real(cv, twist)
+
+    monkeypatch.setattr(oracle_mod, "_chi_numerator", counted)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Enough):
+            verify(dim=2, rank=1, trials=1, max_a=0, seed=1, twist_range=10**15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls[:3] == [None, -10**15, -10**15 + 1]
+    assert peak < 1 << 20

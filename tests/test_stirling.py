@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from chipoly.algebra import Polynomial
+from chipoly.oracle import SplitBundle, split_chi_twist
 from chipoly.stirling import (
     StirlingTable,
+    _line_bundle_count,
     falling_factorial_poly,
     h0_line_bundle,
     rising_factorial_poly,
@@ -138,6 +140,22 @@ def test_line_bundle_counts_are_the_rising_factorial_product(dim):
         for j in range(1, dim + 1):
             product *= Fraction(d + j, j)
         assert h0_line_bundle(dim, d) == product, d
+
+
+def test_line_bundle_count_is_the_exact_rising_factorial():
+    # The one copy of the reflection rule, through each of its callers:
+    # (d+1)...(d+N) is divisible by N!, and the quotient is the count, on
+    # both sides of the zero band -N <= d <= -1.
+    for dim in range(1, 31):
+        fact = math.factorial(dim)
+        line = SplitBundle(dim, (0,))
+        for d in range(-3 * dim, 3 * dim + 1):
+            product = math.prod(range(d + 1, d + dim + 1))
+            assert product % fact == 0, (dim, d)
+            count = product // fact
+            assert h0_line_bundle(dim, d) == count, (dim, d)
+            assert _line_bundle_count(dim, d) == count, (dim, d)
+            assert split_chi_twist(line, d) == count, (dim, d)
 
 
 def test_concurrent_fill_is_consistent():
