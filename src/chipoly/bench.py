@@ -173,6 +173,8 @@ def run_bench(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
+        if methods.count(m) > 1:  # the results are keyed by method
+            raise ValueError(f"method {m!r} given more than once")
     machine = (
         f"{platform.platform()} "
         f"{platform.python_implementation()} {platform.python_version()}"

@@ -17,7 +17,7 @@ import sys
 from operator import methodcaller
 from typing import NamedTuple
 
-from .algebra import TWIST, Polynomial
+from .algebra import TWIST, Polynomial, _monomial
 from .eulerchi import (
     METHODS,
     ChernVector,
@@ -74,24 +74,27 @@ def _chern_arg(text: str) -> tuple:
 
 
 def format_stirling_rows(rows) -> str:
-    """Fixed-width lower-triangular layout with row and column labels."""
+    """Fixed-width lower-triangular layout with row and column labels.
+
+    Each entry becomes text once, and the column widths are read from that
+    text.  Until its line is made, a row's text is kept as one string,
+    which holds less memory than a string per entry.
+    """
     count = len(rows)
     label = "N\\m"
-    col_w = []
-    for m in range(count):
-        w = len(str(m))
-        for n in range(m, count):
-            w = max(w, len(str(rows[n][m])))
-        col_w.append(w)
+    col_w = [len(str(m)) for m in range(count)]
+    texts = []
+    for row in rows:
+        cells = list(map(str, row))
+        col_w[:len(cells)] = map(max, col_w, map(len, cells))
+        texts.append(" ".join(cells))  # split again below: an int's text has no space
     left_w = max(len(label), len(str(count - 1)))
-    lines = [
-        label.rjust(left_w)
-        + "  "
-        + "  ".join(str(m).rjust(col_w[m]) for m in range(count))
-    ]
-    for n, row in enumerate(rows):
-        cells = [str(row[m]).rjust(col_w[m]) for m in range(n + 1)]
-        lines.append(str(n).rjust(left_w) + "  " + "  ".join(cells))
+    def line(left, cells):
+        return left.rjust(left_w) + "  " + "  ".join(map(str.rjust, cells, col_w))
+    lines = [line(label, map(str, range(count)))]
+    for n in range(count):
+        text, texts[n] = texts[n], None
+        lines.append(line(str(n), text.split(" ")))
     return "\n".join(lines)
 
 
@@ -123,7 +126,7 @@ def _twist_grouped(bracket: Polynomial, style: _ChiStyle) -> str:
         if len(g) > 1:
             body = style.open + body + style.close
         if k:
-            tpow = style.render(Polynomial.variable(TWIST) ** k)
+            tpow = style.render(Polynomial._make({_monomial({TWIST: k}): 1}))
             body += (style.group_t if len(g) > 1 else style.term_t) + tpow
         parts.append(body)
     return " + ".join(parts)
@@ -187,7 +190,8 @@ def _cmd_emit_chi_twist(args) -> int:
 def _cmd_eval(args) -> int:
     if args.rank is None:
         args.parser.error("argument --rank: eval needs a numeric rank, not 'n'")
-    if len(args.chern) != args.dim:
+    # A --dim below 1 is left to ChernVector, whose refusal names the dimension.
+    if args.dim >= 1 and len(args.chern) != args.dim:
         args.parser.error(
             f"argument --chern: expected {args.dim} comma-separated values "
             f"for --dim {args.dim}, got {len(args.chern)}"

@@ -20,10 +20,10 @@ from .algebra import AUX, Polynomial, _check_int
 class StirlingTable:
     """Memoized triangle of unsigned Stirling numbers of the first kind.
 
-    Rows are built on demand and kept forever; filling is guarded by a
-    lock so concurrent lookups stay consistent.  The table serves the
-    stirling command and, through unsigned_stirling1, is the reference
-    that eulerchi._weights (which builds no row) is tested against.
+    Rows are built on demand and kept forever, under a lock so concurrent
+    fills stay consistent.  Whole rows serve the stirling command and the
+    factorial polynomials; through unsigned_stirling1 the table is the
+    reference that eulerchi._weights (which builds no row) is tested against.
     """
 
     def __init__(self):
@@ -37,32 +37,27 @@ class StirlingTable:
         with self._lock:
             while len(self._rows) <= n:
                 prev = self._rows[-1]
-                size = len(self._rows)
-                row = [0] * (size + 1)
-                for m in range(size + 1):
-                    term = prev[m - 1] if m >= 1 else 0
-                    if m < size:
-                        term += (size - 1) * prev[m]
-                    row[m] = term
-                self._rows.append(tuple(row))
+                k = len(prev) - 1  # prev is row k: [k+1, m] = [k, m-1] + k * [k, m]
+                self._rows.append(tuple(a + k * b for a, b in zip((0,) + prev, prev + (0,))))
 
     def unsigned(self, n: int, m: int) -> int:
         _check_int(n, "n")
         _check_int(m, "m")
         if n < 0 or m < 0 or m > n:
             return 0
-        self.ensure_rows(n)
-        return self._rows[n][m]
+        return self.row(n)[m]
 
     def signed(self, n: int, m: int) -> int:
         value = self.unsigned(n, m)
         return -value if (n - m) % 2 else value
 
     def row(self, n: int, signed: bool = False) -> tuple[int, ...]:
+        """The stored row [n, 0]..[n, n]; signed, a copy signed by the parity of n - m."""
         self.ensure_rows(n)
+        row = self._rows[n]
         if not signed:
-            return self._rows[n]
-        return tuple(self.signed(n, m) for m in range(n + 1))
+            return row
+        return tuple(-v if (n - m) % 2 else v for m, v in enumerate(row))
 
 
 _TABLE = StirlingTable()
@@ -85,17 +80,13 @@ def rising_factorial_poly(n: int) -> Polynomial:
     enters the Euler-characteristic formula.
     """
     _check_int(n, "rising factorial length", 1)
-    return Polynomial.from_terms(
-        [({AUX: k}, _TABLE.unsigned(n + 1, k + 1)) for k in range(n + 1)]
-    )
+    return Polynomial.from_terms([({AUX: k}, c) for k, c in enumerate(_TABLE.row(n + 1)[1:])])
 
 
 def falling_factorial_poly(n: int) -> Polynomial:
     """X(X-1)...(X-n+1) expanded in X; coefficients are the signed numbers."""
     _check_int(n, "falling factorial length", 1)
-    return Polynomial.from_terms(
-        [({AUX: k}, _TABLE.signed(n, k)) for k in range(n + 1)]
-    )
+    return Polynomial.from_terms([({AUX: k}, c) for k, c in enumerate(_TABLE.row(n, signed=True))])
 
 
 def _line_bundle_count(dim: int, degree: int) -> int:

@@ -92,6 +92,10 @@ def test_bench_validation():
         run_bench(3, repetitions=0)
     with pytest.raises(ValueError):
         run_bench(3, methods=("sideways",))
+    # The results are keyed by method, so a repeat would leave one to compare.
+    for methods in (("recursive", "recursive"), ("matrix", "recursive", "matrix")):
+        with pytest.raises(ValueError, match=f"method {methods[0]!r} given more than once"):
+            run_bench(3, methods=methods)
     # A cutoff below 1 would skip the matrix route at every dimension.
     for cutoff in (0, -1):
         with pytest.raises(ValueError, match="matrix cutoff"):

@@ -15,8 +15,9 @@ from chipoly.algebra import Polynomial
 from chipoly.bench import BenchReport, MethodTiming
 from chipoly import cli
 from chipoly.cli import main
-from chipoly.eulerchi import ChernVector, chi_polynomial, evaluate_chi
+from chipoly.eulerchi import ChernVector, chi_polynomial, chi_twist_polynomial, evaluate_chi
 from chipoly.oracle import Mismatch, VerifyReport
+from chipoly.stirling import StirlingTable
 from chipoly.symmfun import power_sum_recursive
 
 import record_cli_goldens
@@ -41,6 +42,33 @@ def test_stirling_signed(capsys):
     code, out, _ = run_cli(capsys, ["stirling", "--rows", "4", "--signed"])
     assert code == 0
     assert out.splitlines()[5].split() == ["4", "0", "-6", "11", "-6", "1"]
+
+
+def _two_pass_stirling_rows(rows):
+    # The printer as it was before each entry was written once: every
+    # entry goes to text once for the widths and again for its cell.
+    count = len(rows)
+    label = "N\\m"
+    col_w = []
+    for m in range(count):
+        w = len(str(m))
+        for n in range(m, count):
+            w = max(w, len(str(rows[n][m])))
+        col_w.append(w)
+    left_w = max(len(label), len(str(count - 1)))
+    lines = [label.rjust(left_w) + "  " + "  ".join(str(m).rjust(col_w[m]) for m in range(count))]
+    for n, row in enumerate(rows):
+        cells = [str(row[m]).rjust(col_w[m]) for m in range(n + 1)]
+        lines.append(str(n).rjust(left_w) + "  " + "  ".join(cells))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_stirling_rows_match_the_two_pass_printer(signed):
+    table = StirlingTable()
+    for last in range(81):
+        rows = [table.row(n, signed=signed) for n in range(last + 1)]
+        assert cli.format_stirling_rows(rows) == _two_pass_stirling_rows(rows), last
 
 
 def test_powersum_text_and_methods(capsys):
@@ -150,6 +178,21 @@ def test_emit_chi_twist_groups_by_power(capsys):
     assert text.startswith("1/2 * [")
     assert "T^2" in text and "*T + " in text
     assert text.endswith("] + 2")
+
+
+def test_twisted_frame_writes_powers_of_t_without_pow(monkeypatch):
+    # Each group's T^k is written from its monomial, not built by multiplying.
+    polys = [chi_twist_polynomial(None, dim) for dim in range(1, 9)]
+    expected = [(cli.format_chi_text(g, dim, True), cli.format_chi_latex(g, dim, True))
+                for dim, g in enumerate(polys, 1)]
+
+    def refuse(self, exponent):
+        raise AssertionError("Polynomial.__pow__ called")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    for dim, (g, want) in enumerate(zip(polys, expected), 1):
+        got = (cli.format_chi_text(g, dim, True), cli.format_chi_latex(g, dim, True))
+        assert got == want, dim
 
 
 def test_emit_chi_twist_json_matches_untwisted_at_zero(capsys):
@@ -268,6 +311,15 @@ def test_eval_rejects_wrong_chern_arity(capsys):
     assert "--chern" in err and "expected 3" in err
 
 
+def test_eval_refuses_a_bad_dim_before_the_chern_arity(capsys):
+    for dim in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--rank", "1", "--dim", dim, "--chern", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: dimension: expected an integer, at least 1, got {dim}" in err, err
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         [],
@@ -303,6 +355,7 @@ def test_usage_errors_exit_2(capsys):
         ["bench", "--dim", "3", "--repetitions", "0"],
         ["bench", "--dim", "3", "--matrix-cutoff", "0"],
         ["bench", "--dim", "3", "--methods", "bogus"],
+        ["bench", "--dim", "3", "--methods", "recursive,recursive"],
         ["powersum", "--r", "0", "--method", "matrix"],
     ):
         with pytest.raises(SystemExit) as exc:

@@ -62,6 +62,30 @@ def test_signed_values():
 def test_signed_row():
     table = StirlingTable()
     assert table.row(4, signed=True) == (0, -6, 11, -6, 1)
+    for n in range(61):
+        assert table.row(n, signed=True) == tuple(signed_stirling1(n, m) for m in range(n + 1))
+
+
+def test_row_readers_do_not_look_up_single_entries(monkeypatch):
+    # Whole rows and the factorial polynomials read the stored rows, not
+    # one unsigned or signed lookup per entry.
+    calls = []
+
+    def counted(name):
+        original = getattr(StirlingTable, name)
+
+        def wrapper(self, n, m):
+            calls.append(name)
+            return original(self, n, m)
+
+        return wrapper
+
+    for name in ("unsigned", "signed"):
+        monkeypatch.setattr(StirlingTable, name, counted(name))
+    assert StirlingTable().row(60, signed=True)[1] == -math.factorial(59)
+    assert rising_factorial_poly(30).evaluate({"X": 1}) == math.factorial(31)
+    assert falling_factorial_poly(30).evaluate({"X": 30}) == math.factorial(30)
+    assert calls == []
 
 
 def test_row_validation():
