@@ -15,7 +15,7 @@ import time
 # needs them.
 
 from ._record import Record
-from .algebra import Polynomial, _check_int, _is_scalar
+from .algebra import _check_int, _is_scalar
 from .eulerchi import METHODS, build_chi_polynomial
 from .symmfun import PowerSumCache
 
@@ -160,7 +160,9 @@ def run_bench(
 
     The matrix route grows several-fold in cost with each dimension, so
     it is skipped (with a note) above matrix_cutoff unless the caller
-    raises the cutoff explicitly.
+    raises the cutoff explicitly.  Every finished build is compared with
+    the run's first: any difference sets agreement to False; otherwise it
+    is True once two methods have finished, and None before.
     """
     import platform
 
@@ -173,14 +175,14 @@ def run_bench(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
-        if methods.count(m) > 1:  # the results are keyed by method
+        if methods.count(m) > 1:  # a repeat would count twice toward agreement
             raise ValueError(f"method {m!r} given more than once")
     machine = (
         f"{platform.platform()} "
         f"{platform.python_implementation()} {platform.python_version()}"
     )
     report = BenchReport(dim, repetitions, timeout, machine)
-    results: dict[str, Polynomial] = {}
+    first = None
     for method in methods:
         timing = MethodTiming(method)
         report.timings.append(timing)
@@ -201,11 +203,11 @@ def run_bench(
                 break
             timing.seconds.append(elapsed)
             timing.terms = len(poly)
-            if method in results and results[method] != poly:
+            if first is None:
+                first = poly
+            elif poly != first:
                 report.agreement = False
-            results[method] = poly
-    finished = list(results.values())
-    if report.agreement is None and len(finished) >= 2:
-        first = finished[0]
-        report.agreement = all(p == first for p in finished[1:])
+    finished = sum(1 for t in report.timings if t.seconds)
+    if report.agreement is None and finished >= 2:
+        report.agreement = True
     return report

@@ -14,6 +14,7 @@ import argparse
 import math
 import re
 import sys
+from itertools import zip_longest
 from operator import methodcaller
 from typing import NamedTuple
 
@@ -73,29 +74,19 @@ def _chern_arg(text: str) -> tuple:
     return tuple(_parse_int(p, refusal) for p in text.split(","))
 
 
-def format_stirling_rows(rows) -> str:
-    """Fixed-width lower-triangular layout with row and column labels.
+def format_stirling_rows(rows):
+    """Yield the lines of a fixed-width lower-triangular layout with row
+    and column labels.
 
-    Each entry becomes text once, and the column widths are read from that
-    text.  Until its line is made, a row's text is kept as one string,
-    which holds less memory than a string per entry.
+    Each entry becomes text once, into one list of cells per row, labels
+    included, and each column's width is read from those cells.  So every
+    row is converted, and any refusal raised, before the first line.
     """
-    count = len(rows)
-    label = "N\\m"
-    col_w = [len(str(m)) for m in range(count)]
-    texts = []
-    for row in rows:
-        cells = list(map(str, row))
-        col_w[:len(cells)] = map(max, col_w, map(len, cells))
-        texts.append(" ".join(cells))  # split again below: an int's text has no space
-    left_w = max(len(label), len(str(count - 1)))
-    def line(left, cells):
-        return left.rjust(left_w) + "  " + "  ".join(map(str.rjust, cells, col_w))
-    lines = [line(label, map(str, range(count)))]
-    for n in range(count):
-        text, texts[n] = texts[n], None
-        lines.append(line(str(n), text.split(" ")))
-    return "\n".join(lines)
+    grid = [[str(n), *map(str, row)] for n, row in enumerate(rows)]
+    grid.insert(0, ["N\\m", *map(str, range(len(grid)))])
+    widths = [max(map(len, column)) for column in zip_longest(*grid, fillvalue="")]
+    for cells in grid:
+        yield "  ".join(map(str.rjust, cells, widths))
 
 
 class _ChiStyle(NamedTuple):
@@ -161,8 +152,9 @@ def _emit_chi(poly: Polynomial, dim: int, fmt: str, twisted: bool) -> str:
 def _cmd_stirling(args) -> int:
     table = StirlingTable()
     table.row(args.rows)  # checks --rows, which the loop below would skip if negative
-    rows = [table.row(n, signed=args.signed) for n in range(args.rows + 1)]
-    print(format_stirling_rows(rows))
+    rows = (table.row(n, signed=args.signed) for n in range(args.rows + 1))
+    for line in format_stirling_rows(rows):
+        print(line)
     return 0
 
 

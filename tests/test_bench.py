@@ -42,6 +42,20 @@ def test_bench_repetitions_that_differ_disagree(monkeypatch):
     assert "RESULTS DIFFER" in report.to_text()
 
 
+def test_bench_methods_that_differ_disagree(monkeypatch):
+    """Each method repeats its own polynomial, but the two differ: every build
+    is compared with the run's first, so that is a disagreement."""
+    from chipoly import bench
+    from chipoly.algebra import Polynomial
+
+    builds = {"matrix": Polynomial.constant(1), "recursive": Polynomial.constant(2)}
+    monkeypatch.setattr(bench, "_build_once", lambda dim, method: (0.5, builds[method]))
+    report = run_bench(3, repetitions=3)
+    assert report.agreement is False
+    assert [len(t.seconds) for t in report.timings] == [3, 3]
+    assert "RESULTS DIFFER" in report.to_text()
+
+
 def test_bench_dim_one():
     report = run_bench(1, repetitions=1)
     assert report.agreement is True
@@ -92,7 +106,7 @@ def test_bench_validation():
         run_bench(3, repetitions=0)
     with pytest.raises(ValueError):
         run_bench(3, methods=("sideways",))
-    # The results are keyed by method, so a repeat would leave one to compare.
+    # A repeat would count twice toward agreement.
     for methods in (("recursive", "recursive"), ("matrix", "recursive", "matrix")):
         with pytest.raises(ValueError, match=f"method {methods[0]!r} given more than once"):
             run_bench(3, methods=methods)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -68,7 +69,61 @@ def test_stirling_rows_match_the_two_pass_printer(signed):
     table = StirlingTable()
     for last in range(81):
         rows = [table.row(n, signed=signed) for n in range(last + 1)]
-        assert cli.format_stirling_rows(rows) == _two_pass_stirling_rows(rows), last
+        assert "\n".join(cli.format_stirling_rows(rows)) == _two_pass_stirling_rows(rows), last
+
+
+class _CountingSink:
+    """A stdout that counts the characters written and keeps none of them."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_stirling_memory_stays_near_the_output(signed):
+    """stirling writes each line as it is made: the traced peak, the table
+    included, stays within 1.5 times the characters written.  A printer that
+    holds every line, or the joined text, peaks at over twice the output."""
+    # A first call pays the one-time imports and caches of parsing, which
+    # are not the printer's memory.
+    with contextlib.redirect_stdout(_CountingSink()):
+        main(["stirling", "--rows", "1"])
+    argv = ["stirling", "--rows", "150"] + ["--signed"] * signed
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 2_000_000
+    assert peak <= 1.5 * sink.chars, (peak, sink.chars)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="CPython 3.11+ limits writing ints as text")
+def test_stirling_refused_entry_writes_nothing(capsys):
+    """Every entry is converted before the first line is written, so an
+    entry over the digit limit exits 2 with nothing on stdout.  [312, 1] =
+    311! has 642 digits, over the lowest limit CPython allows, 640."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["stirling", "--rows", "312"])
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "640" in captured.err.splitlines()[-1]
 
 
 def test_powersum_text_and_methods(capsys):
@@ -151,6 +206,12 @@ def test_emit_golden(capsys, argv, expected):
      "503f5699a8492c70631fc16c0cb8d4ee8d6bfb6cedaa0804f3aa213529533799"),
     (["powersum", "--r", "10", "--method", "matrix"],
      "503f5699a8492c70631fc16c0cb8d4ee8d6bfb6cedaa0804f3aa213529533799"),
+    # stirling's own write path, trailing newline included: recorded when
+    # the command printed its triangle as one string.
+    (["stirling", "--rows", "200"],
+     "70f3bb3a5a03986294b9d4697a63f972b26b18bc071ac3093477faf862bd89c1"),
+    (["stirling", "--rows", "200", "--signed"],
+     "f83f8943dbb74006c1b3551c8b68c9472635369427f349b27fee9e40ff3234b7"),
 ])
 def test_emit_golden_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, argv)
