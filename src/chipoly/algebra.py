@@ -38,12 +38,18 @@ The term dict itself holds that order, since dicts keep insertion
 order: a polynomial built in order says so when it is made, and any
 other is re-keyed into order once, on first need.  Every renderer then
 walks the dict as it stands, and ``collect`` fills each group in order,
-so nothing is sorted twice.  Text and LaTeX share one term loop, which
-places signs, drops unit coefficients and writes constants; the two
-formats differ only in their tokens: how a variable power and a
-coefficient are written and what joins the factors.  JSON is written
-straight from the ordered terms, byte for byte what ``json.dumps`` makes
-of the payload ``from_json`` reads.
+so nothing is sorted twice.  A term loop reads any ordered stream of
+(monomial, numerator) pairs plus the denominator, not the polynomial,
+and reduces each coefficient against the denominator as it writes it,
+with a gcd only when the denominator is not 1.  Text and LaTeX share one
+such loop, ``_render``, which places signs, drops unit coefficients and
+writes constants; the two formats differ only in their tokens: how a
+variable power and a fraction are written and what joins the factors.
+Each render call writes variable powers through a token table of its
+own, a dict that makes a (slot, exponent) pair's token on first use, so
+no token memo outlives the call.  JSON has its own loop,
+``_json_terms``, byte for byte what ``json.dumps`` makes of the payload
+``from_json`` reads.
 
 ``evaluate`` checks that the point binds every occurring variable to an
 int or a Fraction (any other value is rejected), then sums the terms in
@@ -65,7 +71,6 @@ import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 TWIST = "T"
@@ -182,13 +187,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return b
 
 
-def _reduced(num: int, den: int) -> tuple:
-    if den == 1:
-        return num, 1
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
 def _order_key(mono: Monomial) -> tuple:
     # Graded lex, encoded so that ascending sort gives the canonical
     # descending-degree order: degree negated, then (slot, -exp) pairs.
@@ -200,35 +198,85 @@ def _order_key(mono: Monomial) -> tuple:
     return (-deg, tuple(flat))
 
 
-# Renderers write each (slot, exponent) pair of a monomial through one of
-# these memoised token functions; the pairs are few (variables times
-# exponents), so the caches stay small.
-@lru_cache(maxsize=4096)
-def _text_power(pair: tuple) -> str:
-    slot, e = pair
-    return _NAME[slot] if e == 1 else f"{_NAME[slot]}^{e}"
+# Each render call writes a monomial's (slot, exponent) pairs through a
+# token table of its own, a dict that makes a pair's token on first use;
+# the pairs are few (variables times exponents), so no table grows large.
+class _TextPowers(dict):
+    def __missing__(self, pair: tuple) -> str:
+        slot, e = pair
+        token = self[pair] = _NAME[slot] if e == 1 else f"{_NAME[slot]}^{e}"
+        return token
 
 
-@lru_cache(maxsize=4096)
-def _json_power(pair: tuple) -> str:
-    # Names and exponents are ASCII with nothing to escape.
-    slot, e = pair
-    return f'"{_NAME[slot]}": {e}'
+class _LatexPowers(dict):
+    def __missing__(self, pair: tuple) -> str:
+        slot, e = pair
+        name = f"C_{{{slot}}}" if slot < _CHERN_LIMIT else _NAME[slot]
+        token = self[pair] = name if e == 1 else f"{name}^{{{e}}}"
+        return token
 
 
-@lru_cache(maxsize=4096)
-def _latex_power(pair: tuple) -> str:
-    slot, e = pair
-    name = f"C_{{{slot}}}" if slot < _CHERN_LIMIT else _NAME[slot]
-    return name if e == 1 else f"{name}^{{{e}}}"
+class _JsonPowers(dict):
+    def __missing__(self, pair: tuple) -> str:
+        # Names and exponents are ASCII with nothing to escape.
+        slot, e = pair
+        token = self[pair] = f'"{_NAME[slot]}": {e}'
+        return token
 
 
-def _text_magnitude(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
+def _render(terms: Iterable, den: int, powers: dict, fraction, sep: str) -> str:
+    """Signed terms in the order given, written in one format's tokens.
+
+    terms holds (monomial, nonzero numerator) pairs over the positive
+    denominator den.  powers is a token table (_TextPowers, say) that
+    writes one variable power, fraction(num, den) a positive reduced
+    fraction with den > 1, and sep joins a term's factors, coefficient
+    included.  Each coefficient is reduced here, with a gcd only when den
+    is not 1.  Signs, the omitted coefficient 1 and constant terms are
+    handled here, once for every format.
+    """
+    power = powers.__getitem__
+    gcd = math.gcd
+    chunks = []
+    append = chunks.append
+    for mono, num in terms:
+        sign = " - " if num < 0 else " + "
+        size = -num if num < 0 else num
+        if den != 1:
+            g = gcd(size, den)
+            size //= g
+            if g != den:  # the coefficient stays a fraction
+                size = fraction(size, den // g)
+                append(f"{sign}{size}{sep}{sep.join(map(power, mono))}" if mono else sign + size)
+                continue
+        if not mono:
+            append(f"{sign}{size}")
+        elif size == 1:
+            append(sign + sep.join(map(power, mono)))
+        else:
+            append(f"{sign}{size}{sep}{sep.join(map(power, mono))}")
+    if not chunks:
+        return "0"
+    # The leading term drops its joiner: " + a" -> "a", " - a" -> "-a".
+    first = chunks[0]
+    chunks[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(chunks)
 
 
-def _latex_magnitude(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"\\frac{{{num}}}{{{den}}}"
+def _json_terms(terms: Iterable, den: int) -> str:
+    """The JSON term list's entries, terms as in _render, comma-joined."""
+    power = _JsonPowers().__getitem__
+    gcd = math.gcd
+    chunks = []
+    append = chunks.append
+    for mono, num in terms:
+        if den == 1:
+            coeff = num
+        else:
+            g = gcd(num, den)
+            coeff = num // g if g == den else f"{num // g}/{den // g}"
+        append(f'{{"coeff": "{coeff}", "exps": {{{", ".join(map(power, mono))}}}}}')
+    return ", ".join(chunks)
 
 
 class Polynomial:
@@ -516,38 +564,14 @@ class Polynomial:
 
     # -- rendering -------------------------------------------------------
 
-    def _render(self, power, magnitude, sep: str) -> str:
-        """Signed terms in canonical order, written in one format's tokens.
-
-        power((slot, e)) writes one variable power, magnitude(num, den) a
-        positive reduced coefficient, and sep joins a term's factors,
-        coefficient included.  Signs, the omitted coefficient 1 and
-        constant terms are handled here, once for every format.
-        """
-        if not self._terms:
-            return "0"
-        den = self._den
-        chunks = []
-        for mono, coeff in self._ordered().items():
-            num, d = _reduced(abs(coeff), den)
-            if not mono:
-                piece = magnitude(num, d)
-            else:
-                piece = sep.join(map(power, mono))
-                if num != 1 or d != 1:
-                    piece = magnitude(num, d) + sep + piece
-            chunks.append(" - " + piece if coeff < 0 else " + " + piece)
-        text = "".join(chunks)
-        # The leading term drops its joiner: " + a" -> "a", " - a" -> "-a".
-        return text[3:] if text[1] == "+" else "-" + text[3:]
-
     def to_text(self) -> str:
         """Human-readable form, canonical term order, e.g. "C1^2 - 2*C2"."""
-        return self._render(_text_power, _text_magnitude, "*")
+        return _render(self._ordered().items(), self._den, _TextPowers(), "{}/{}".format, "*")
 
     def to_latex(self) -> str:
         """LaTeX form, canonical term order, e.g. "C_{1}^{2} - 2 C_{2}"."""
-        return self._render(_latex_power, _latex_magnitude, " ")
+        return _render(self._ordered().items(), self._den, _LatexPowers(),
+                       "\\frac{{{}}}{{{}}}".format, " ")
 
     def to_json(self) -> str:
         """Serialize to the stable JSON form (see from_json).
@@ -556,12 +580,7 @@ class Polynomial:
         json.dumps's default layout: {"vars": [...], "terms": [{"coeff":
         "-5/6", "exps": {"C1": 2}}, ...]}.
         """
-        den = self._den
-        body = ", ".join(
-            f'{{"coeff": "{_text_magnitude(*_reduced(coeff, den))}", '
-            f'"exps": {{{", ".join(map(_json_power, mono))}}}}}'
-            for mono, coeff in self._ordered().items()
-        )
+        body = _json_terms(self._ordered().items(), self._den)
         names = ", ".join(f'"{name}"' for name in self.variables())
         return f'{{"vars": [{names}], "terms": [{body}]}}'
 

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from operator import methodcaller
 from typing import NamedTuple
 
-from .algebra import TWIST, Polynomial, _monomial
+from .algebra import TWIST, Polynomial, _LatexPowers, _TextPowers, _slot
 from .eulerchi import (
     METHODS,
     ChernVector,
@@ -74,18 +74,23 @@ def _chern_arg(text: str) -> tuple:
     return tuple(_parse_int(p, refusal) for p in text.split(","))
 
 
-def format_stirling_rows(rows):
-    """Yield the lines of a fixed-width lower-triangular layout with row
-    and column labels.
+def format_stirling_rows(row, last):
+    """Yield the lines of a fixed-width lower-triangular layout of rows
+    0..last, with row and column labels; row(n) gives row n.
 
-    Each entry becomes text once, into one list of cells per row, labels
-    included, and each column's width is read from those cells.  So every
-    row is converted, and any refusal raised, before the first line.
+    Each column's width is read from the header and the last two rows.
+    Below the header an unsigned column's entries never shrink, and a
+    signed column has its minus sign in one of those two rows if in any.
+    Those rows become text first, so a refusal comes before the first
+    line; every other line is then converted and written alone.
     """
-    grid = [[str(n), *map(str, row)] for n, row in enumerate(rows)]
-    grid.insert(0, ["N\\m", *map(str, range(len(grid)))])
-    widths = [max(map(len, column)) for column in zip_longest(*grid, fillvalue="")]
-    for cells in grid:
+    header = ["N\\m", *map(str, range(last + 1))]
+    tail = [[str(n), *map(str, row(n))] for n in range(max(last - 1, 0), last + 1)]
+    widths = [max(map(len, column)) for column in zip_longest(header, *tail, fillvalue="")]
+    yield "  ".join(map(str.rjust, header, widths))
+    for n in range(last - 1):
+        yield "  ".join(map(str.rjust, [str(n), *map(str, row(n))], widths))
+    for cells in tail:
         yield "  ".join(map(str.rjust, cells, widths))
 
 
@@ -93,6 +98,7 @@ class _ChiStyle(NamedTuple):
     """The tokens one output format writes a chi polynomial with."""
 
     render: methodcaller  # writes a Polynomial: calls its to_text or to_latex
+    powers: type  # the token table render writes a variable power with
     open: str  # parentheses around a group of several terms
     close: str
     group_t: str  # between a parenthesised group and its T power
@@ -100,9 +106,9 @@ class _ChiStyle(NamedTuple):
     frame: str  # the 1/N! frame, formatted with N! and the bracket
 
 
-_TEXT = _ChiStyle(methodcaller("to_text"), "(", ")", "*", "*", "1/{} * [{}]")
+_TEXT = _ChiStyle(methodcaller("to_text"), _TextPowers, "(", ")", "*", "*", "1/{} * [{}]")
 _LATEX = _ChiStyle(
-    methodcaller("to_latex"), "\\left(", "\\right)", " ", " \\, ",
+    methodcaller("to_latex"), _LatexPowers, "\\left(", "\\right)", " ", " \\, ",
     "\\frac{{1}}{{{}}} \\left[ {} \\right]",
 )
 
@@ -110,6 +116,8 @@ _LATEX = _ChiStyle(
 def _twist_grouped(bracket: Polynomial, style: _ChiStyle) -> str:
     """The bracket as a sum over powers of T, highest first."""
     groups = bracket.collect(TWIST)
+    t_power = style.powers()
+    t = _slot(TWIST)
     parts = []
     for k in sorted(groups, reverse=True):
         g = groups[k]
@@ -117,8 +125,7 @@ def _twist_grouped(bracket: Polynomial, style: _ChiStyle) -> str:
         if len(g) > 1:
             body = style.open + body + style.close
         if k:
-            tpow = style.render(Polynomial._make({_monomial({TWIST: k}): 1}))
-            body += (style.group_t if len(g) > 1 else style.term_t) + tpow
+            body += (style.group_t if len(g) > 1 else style.term_t) + t_power[t, k]
         parts.append(body)
     return " + ".join(parts)
 
@@ -151,9 +158,8 @@ def _emit_chi(poly: Polynomial, dim: int, fmt: str, twisted: bool) -> str:
 
 def _cmd_stirling(args) -> int:
     table = StirlingTable()
-    table.row(args.rows)  # checks --rows, which the loop below would skip if negative
-    rows = (table.row(n, signed=args.signed) for n in range(args.rows + 1))
-    for line in format_stirling_rows(rows):
+    table.row(args.rows)  # checks --rows, which the printer would skip if negative
+    for line in format_stirling_rows(lambda n: table.row(n, signed=args.signed), args.rows):
         print(line)
     return 0
 

@@ -120,12 +120,6 @@ def _closed_form(rank, dim: int, twisted: bool) -> Polynomial:
     pairs[t] = [(t, e) for e in range(dim + 1)]
     nums: dict = {}
 
-    def emit(mono, w, parts, denom, e):
-        c = w * fact[parts - 1] // denom * stirling[w + e]
-        if e:
-            c *= math.comb(w + e, w)
-        nums[mono] = -c if (w - parts) % 2 else c
-
     def walk(prefix, left, used, low, parts, denom):
         # prefix: the parts placed so far (smallest first) as a monomial,
         # of weight used and degree parts; left: the degree still to place,
@@ -143,13 +137,17 @@ def _closed_form(rank, dim: int, twisted: bool) -> Polynomial:
                 counts = range(left, max(0, used + (p + 1) * left - dim - 1), -1)
             for m in counts:  # m parts of size p, most first
                 mono = prefix + (pairs[p][m],)
-                if m == left:
-                    emit(mono, used + p * m, parts + m, denom * fact[m], 0)
+                if m == left:  # a leaf: the coefficient of C^lambda
+                    w = used + p * m
+                    c = w * fact[parts + m - 1] // (denom * fact[m]) * stirling[w]
+                    nums[mono] = -c if (w - parts - m) % 2 else c
                 else:
                     walk(mono, left - m, used + p * m, p + 1, parts + m, denom * fact[m])
             p += 1
-        if twisted and parts:  # T^left, after every C
-            emit(prefix + (pairs[t][left],), used, parts, denom, left)
+        if twisted and parts:  # the leaf C^lambda T^left, T after every C
+            c = used * fact[parts - 1] // denom * stirling[used + left]
+            c *= math.comb(used + left, used)
+            nums[prefix + (pairs[t][left],)] = -c if (used - parts) % 2 else c
 
     # The rank term times T^e has degree e + 1 for the symbolic rank n,
     # else e.
@@ -343,5 +341,10 @@ def prefactor_parts(poly: Polynomial, dim: int) -> tuple[Polynomial, Polynomial]
     fact = math.factorial(dim)
     g = math.gcd(fact, den)
     scale = fact // g
-    bracket = {m: c * scale for m, c in terms.items() if m not in tail_monos}
+    if scale == 1:  # dim! divides den (chi and G have den dim!): copy, drop the tail
+        bracket = dict(terms)
+        for m in tail:
+            del bracket[m]
+    else:
+        bracket = {m: c * scale for m, c in terms.items() if m not in tail_monos}
     return Polynomial._make(bracket, den // g, True), Polynomial._make(tail, den, True)

@@ -7,7 +7,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chipoly.algebra import AUX, RANK, TWIST, Polynomial, chern, standard_weight
 from chipoly.bench import run_bench
@@ -728,3 +728,51 @@ def test_to_json_matches_json_dumps_of_the_payload(terms):
     }
     assert p.to_json() == json.dumps(payload)
     assert Polynomial.from_json(p.to_json()) == p
+
+
+def _reference_render(p, power, magnitude, sep):
+    """Text or LaTeX written slowly from terms(): Fractions, names, signs."""
+    pieces = []
+    for mono, c in sorted(p.terms(), key=_name_order_key):
+        size = abs(c)
+        factors = [power(name, e) for name, e in mono]
+        if not mono or size != 1:
+            factors.insert(0, magnitude(size))
+        pieces.append(("-" if c < 0 else "+", sep.join(factors)))
+    if not pieces:
+        return "0"
+    (sign, first), rest = pieces[0], pieces[1:]
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {x}" for s, x in rest)
+
+
+def _reference_text(p):
+    return _reference_render(
+        p, lambda name, e: name if e == 1 else f"{name}^{e}", str, "*")
+
+
+def _reference_latex(p):
+    def power(name, e):
+        if name.startswith("C"):
+            name = f"C_{{{name[1:]}}}"
+        return name if e == 1 else f"{name}^{{{e}}}"
+
+    def magnitude(c):
+        return str(c) if c.denominator == 1 else f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+
+    return _reference_render(p, power, magnitude, " ")
+
+
+@settings(deadline=None)
+@given(_json_terms)
+@example([])
+@example([({}, 0)])
+@example([({}, -1), ({"C1": 1}, 1), ({"T": 2}, -1)])
+@example([({"C1": 2}, Fraction(-5, 6)), ({"n": 1}, Fraction(1, 6)), ({}, Fraction(7, 3))])
+@example([({f"C{2**62 - 1}": 3, "X": 1}, -1), ({"C123456789": 1, "n": 2}, Fraction(-1, 2))])
+def test_text_and_latex_match_a_reference_written_from_terms(terms):
+    """to_text and to_latex write what a slow renderer over terms() writes:
+    signs between terms, no unit coefficient beside a variable, constants
+    and fractions in full, every kind of variable."""
+    p = Polynomial.from_terms(terms)
+    assert p.to_text() == _reference_text(p)
+    assert p.to_latex() == _reference_latex(p)

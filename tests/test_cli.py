@@ -69,16 +69,19 @@ def test_stirling_rows_match_the_two_pass_printer(signed):
     table = StirlingTable()
     for last in range(81):
         rows = [table.row(n, signed=signed) for n in range(last + 1)]
-        assert "\n".join(cli.format_stirling_rows(rows)) == _two_pass_stirling_rows(rows), last
+        got = "\n".join(cli.format_stirling_rows(rows.__getitem__, last))
+        assert got == _two_pass_stirling_rows(rows), last
 
 
 class _CountingSink:
     """A stdout that counts the characters written and keeps none of them."""
 
     chars = 0
+    longest = 0  # the most characters in one write
 
     def write(self, text):
         self.chars += len(text)
+        self.longest = max(self.longest, len(text))
         return len(text)
 
     def flush(self):
@@ -107,12 +110,41 @@ def test_stirling_memory_stays_near_the_output(signed):
     assert peak <= 1.5 * sink.chars, (peak, sink.chars)
 
 
+@pytest.mark.parametrize("signed", [False, True])
+def test_stirling_memory_is_the_table_and_about_one_line(signed):
+    """Past the Stirling table itself, stirling holds about one line: the
+    traced peak exceeds the table's own memory by at most 12 times the
+    longest line (7.4 measured at 150 rows).  A printer that holds every
+    entry's text until its first line exceeds it by about 78 times."""
+    with contextlib.redirect_stdout(_CountingSink()):
+        main(["stirling", "--rows", "1"])
+    tracemalloc.start()
+    try:
+        filled = StirlingTable()
+        filled.row(150)
+        table = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del filled
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["stirling", "--rows", "150"] + ["--signed"] * signed) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.longest > 20_000
+    assert peak - table <= 12 * sink.longest, (peak, table, sink.longest)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="CPython 3.11+ limits writing ints as text")
 def test_stirling_refused_entry_writes_nothing(capsys):
-    """Every entry is converted before the first line is written, so an
-    entry over the digit limit exits 2 with nothing on stdout.  [312, 1] =
-    311! has 642 digits, over the lowest limit CPython allows, 640."""
+    """The last two rows, which hold every column's largest entry, are
+    converted before the first line is written, so an entry over the digit
+    limit exits 2 with nothing on stdout.  [312, 1] = 311! has 642 digits,
+    over the lowest limit CPython allows, 640."""
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -212,6 +244,19 @@ def test_emit_golden(capsys, argv, expected):
      "70f3bb3a5a03986294b9d4697a63f972b26b18bc071ac3093477faf862bd89c1"),
     (["stirling", "--rows", "200", "--signed"],
      "f83f8943dbb74006c1b3551c8b68c9472635369427f349b27fee9e40ff3234b7"),
+    # Renderer paths none of the cases above reaches: a numeric rank in
+    # LaTeX, the T-grouped frame at a numeric rank, and power sums in LaTeX
+    # and JSON.
+    (["emit-chi", "--rank", "3", "--dim", "20", "--format", "latex"],
+     "83e102fb417411a4af59983574952a077709e5587853efaa3bc8d6fa26e3c291"),
+    (["emit-chi-twist", "--rank", "3", "--dim", "12", "--format", "text"],
+     "1112c5f1ce618d7e8e8d96659eea6b6e777e189962861aba7225b1d165576a9e"),
+    (["emit-chi-twist", "--rank", "3", "--dim", "12", "--format", "latex"],
+     "a66caf820408d9f70d0e075894c63708c93c270315356ce9be15dbe643683e09"),
+    (["powersum", "--r", "12", "--format", "latex"],
+     "a1511edce584cc55aab248de29a1a03825038d694e76488a9dfdd7771cd53591"),
+    (["powersum", "--r", "12", "--format", "json"],
+     "07628a4d5d0bd1dee59761f35810b0ba8e03f5b45218e5706075738fe19c0153"),
 ])
 def test_emit_golden_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, argv)
