@@ -107,6 +107,17 @@ def _closed_form(rank, dim: int, twisted: bool) -> Polynomial:
     a last part of size 1 whose slot sorts after every C; the rank term
     comes last in its degree, since its first slot is T or n (or it is
     the constant).
+
+    A walk call with one part left writes only leaves: C^lambda C_p for
+    p = low..N-used, in that order (in G, before its T-leaf).  The new
+    part p occurs once and exceeds every earlier part, so lambda has
+    l = parts + 1 and its m_i! are the earlier ones, whose product is
+    denom.  The coefficient is then (-1)^(parts+1) (parts!/denom) sw[w]
+    with sw[w] = (-1)^w w [N+1, w+1].  parts!/denom is a multinomial
+    coefficient, an integer fixed for the whole call, so the run costs
+    one multiply per leaf.  These leaves, the partitions whose largest
+    part occurs once, are most of chi: 5,763 of its 7,337 non-rank terms
+    at dim 24.
     """
     (rank_mono, rank_coeff), = _rank_poly(rank)._terms.items()
     _check_int(dim, "dimension", 1)
@@ -118,32 +129,40 @@ def _closed_form(rank, dim: int, twisted: bool) -> Polynomial:
     # Every (slot, exponent) pair a monomial can hold, made once and shared.
     pairs = {p: [(p, m) for m in range(dim // p + 1)] for p in range(1, dim + 1)}
     pairs[t] = [(t, e) for e in range(dim + 1)]
+    # sw[w] = (-1)^w w [N+1, w+1], and ones[p - 1] the pair of one part p.
+    sw = [-w * s if w % 2 else w * s for w, s in enumerate(stirling)]
+    ones = [pairs[p][1] for p in range(1, dim + 1)]
     nums: dict = {}
 
     def walk(prefix, left, used, low, parts, denom):
         # prefix: the parts placed so far (smallest first) as a monomial,
         # of weight used and degree parts; left: the degree still to place,
         # by parts of size low or more (or, in G, by T, of size 1).
-        p = low
-        while True:
-            if twisted:  # the rest of the degree as T costs 1 a unit
-                if used + left + p - 1 > dim:
-                    break
-                top = left if p == 1 else min(left, (dim - used - left) // (p - 1))
-                counts = range(top, 0, -1)
-            else:  # the rest of the degree costs at least p + 1 a unit
-                if used + p * left > dim:
-                    break
-                counts = range(left, max(0, used + (p + 1) * left - dim - 1), -1)
-            for m in counts:  # m parts of size p, most first
-                mono = prefix + (pairs[p][m],)
-                if m == left:  # a leaf: the coefficient of C^lambda
-                    w = used + p * m
-                    c = w * fact[parts + m - 1] // (denom * fact[m]) * stirling[w]
-                    nums[mono] = -c if (w - parts - m) % 2 else c
-                else:
-                    walk(mono, left - m, used + p * m, p + 1, parts + m, denom * fact[m])
-            p += 1
+        if left == 1:  # leaves only: one part p of each size low..N-used
+            k = fact[parts] // denom if parts % 2 else -(fact[parts] // denom)
+            for pair, s in zip(ones[low - 1 : dim - used], sw[used + low :]):
+                nums[prefix + (pair,)] = k * s
+        else:
+            p = low
+            while True:
+                if twisted:  # the rest of the degree as T costs 1 a unit
+                    if used + left + p - 1 > dim:
+                        break
+                    top = left if p == 1 else min(left, (dim - used - left) // (p - 1))
+                    counts = range(top, 0, -1)
+                else:  # the rest of the degree costs at least p + 1 a unit
+                    if used + p * left > dim:
+                        break
+                    counts = range(left, max(0, used + (p + 1) * left - dim - 1), -1)
+                for m in counts:  # m parts of size p, most first
+                    mono = prefix + (pairs[p][m],)
+                    if m == left:  # a leaf: the coefficient of C^lambda
+                        w = used + p * m
+                        c = w * fact[parts + m - 1] // (denom * fact[m]) * stirling[w]
+                        nums[mono] = -c if (w - parts - m) % 2 else c
+                    else:
+                        walk(mono, left - m, used + p * m, p + 1, parts + m, denom * fact[m])
+                p += 1
         if twisted and parts:  # the leaf C^lambda T^left, T after every C
             c = used * fact[parts - 1] // denom * stirling[used + left]
             c *= math.comb(used + left, used)

@@ -769,6 +769,7 @@ def _reference_latex(p):
 @example([({}, -1), ({"C1": 1}, 1), ({"T": 2}, -1)])
 @example([({"C1": 2}, Fraction(-5, 6)), ({"n": 1}, Fraction(1, 6)), ({}, Fraction(7, 3))])
 @example([({f"C{2**62 - 1}": 3, "X": 1}, -1), ({"C123456789": 1, "n": 2}, Fraction(-1, 2))])
+@example([({"C1": 1, "C2": 2, "C3": 1, "T": 1}, 1), ({"C1": 1, "C4": 1, "X": 2, "n": 1}, -1)])
 def test_text_and_latex_match_a_reference_written_from_terms(terms):
     """to_text and to_latex write what a slow renderer over terms() writes:
     signs between terms, no unit coefficient beside a variable, constants

@@ -16,7 +16,7 @@ from chipoly.eulerchi import (
     prefactor_parts,
     twisted_chern_polynomial,
 )
-from chipoly.oracle import SplitBundle, split_chi_twist, verify
+from chipoly.oracle import SplitBundle, split_chi, split_chi_twist, verify
 from chipoly.stirling import unsigned_stirling1
 from chipoly.symmfun import PowerSumCache, power_sum_recursive, power_sum_values
 
@@ -518,6 +518,46 @@ def test_closed_form_equals_the_power_sum_assembly(rank):
     for got, reference in builds:
         assert (got._den, got._terms) == (reference._den, reference._terms)
         assert _built_in_order(got)
+
+
+# Split bundles of several ranks, with negative degrees among them.
+_LARGE_DIM_BUNDLES = ((3, -2, 5), (-4,), (1, -1, 0, 7, -3, 2))
+
+
+def _split_point(bundle):
+    classes = bundle.chern_vector().classes
+    return {RANK: bundle.rank, **{chern(i): c for i, c in enumerate(classes, 1)}}
+
+
+@pytest.mark.parametrize("dim", [25, 29, 32, 36, 40])
+def test_symbolic_chi_above_the_term_for_term_range_counts_split_bundles(dim):
+    """chi at the symbolic rank, past the dims that
+    test_closed_form_equals_the_power_sum_assembly compares term for term,
+    evaluated at split bundles equals their line-bundle counts.  Built
+    outside the cache, which would otherwise keep every polynomial."""
+    chi = eulerchi._cached_chi.__wrapped__(None, dim, "recursive")
+    for degrees in _LARGE_DIM_BUNDLES:
+        bundle = SplitBundle(dim, degrees)
+        assert chi.evaluate(_split_point(bundle)) == split_chi(bundle), degrees
+
+
+@pytest.mark.parametrize("dim", [17, 20, 24])
+def test_symbolic_g_above_the_term_for_term_range_counts_split_bundles(dim):
+    """G at the symbolic rank, past the term-for-term dims, equals the twisted
+    line-bundle counts of split bundles, negative twists included."""
+    G = eulerchi._cached_chi_twist.__wrapped__(None, dim)
+    for degrees in _LARGE_DIM_BUNDLES:
+        bundle = SplitBundle(dim, degrees)
+        point = _split_point(bundle)
+        for t in (-7, 0, 4):
+            assert G.evaluate({**point, TWIST: t}) == split_chi_twist(bundle, t), (degrees, t)
+
+
+def test_chi_text_keeps_a_reduced_denominator_above_ten_to_the_thirty():
+    """At dim 29 the leading coefficient is 1/29!, about 8.8e30: the text
+    writes that fraction in full."""
+    chi = eulerchi._cached_chi.__wrapped__(None, 29, "recursive")
+    assert chi.to_text().startswith(f"1/{math.factorial(29)}*C1^29 ")
 
 
 def test_emitting_chi_and_g_sorts_nothing_and_builds_no_power_sum(capsys, monkeypatch):

@@ -36,6 +36,17 @@ def test_lcg_frozen_sequences():
     assert [g.next_int(6) for _ in range(10)] == [0, 4, 1, 3, 5, 0, 0, 0, 5, 2]
 
 
+def test_lcg_frozen_sequence_with_rejected_draws():
+    """At bound 60001 (verify's --max-a 60000) 5535 of the 65536 top-16-bit
+    draws are rejected.  From seed 6 the 3rd, 7th and 10th draws (60803,
+    60945 and 60718) are, so ten values take thirteen draws, and none of
+    the three appears reduced mod 60001."""
+    g = Lcg(6)
+    assert [g.next_int(60001) for _ in range(10)] == [
+        15623, 53922, 58324, 25092, 7082, 8975, 36704, 34018, 55472, 31129]
+    assert g.state == 2040093945  # the thirteenth state
+
+
 def test_lcg_seed_masking_and_bounds():
     a = Lcg(7)
     b = Lcg(2**40 + 7)
