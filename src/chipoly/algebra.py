@@ -40,19 +40,23 @@ other is re-keyed into order once, on first need.  Every renderer then
 walks the dict as it stands, and ``collect`` fills each group in order,
 so nothing is sorted twice.  A term loop reads any ordered stream of
 (monomial, numerator) pairs plus the denominator, not the polynomial,
-and reduces each coefficient against the denominator as it writes it,
-with a gcd only when the denominator is not 1.  Text and LaTeX share one
-such loop, ``_render``, which places signs, drops unit coefficients and
-writes constants; the two formats differ only in their tokens: how a
-variable power and a fraction are written and what joins the factors.
-Each render call writes variable powers through a token table of its
-own, a dict that makes a (slot, exponent) pair's token on first use, so
-no token memo outlives the call.  JSON has its own loop,
-``_json_terms``, byte for byte what ``json.dumps`` makes of the payload
-``from_json`` reads.  It takes its token table from ``to_json``, as
-``_render`` does from its callers, and ``to_json`` reads the variable
-list off that table's (slot, exponent) keys once the terms are
-written, so the terms are walked once.
+and writes each term from two tables of the call's own, filled on first
+use, so no memo outlives the call.  A token table is a dict that makes a
+(slot, exponent) pair's token; a coefficient table maps a numerator to
+its written coefficient, reduced against the denominator (a gcd only
+when that is not 1).  Polynomials hold far fewer distinct numerators
+than terms (chi at rank n, dim 24: 1,270 of 7,338), so each is reduced
+and converted to text once.  Text and LaTeX share one such loop,
+``_render``, which places signs, drops unit coefficients and writes
+constants; the two formats differ only in their tokens: how a variable
+power and a fraction are written and what joins the factors.  JSON has
+its own loop, ``_json_terms``, byte for byte what ``json.dumps`` makes
+of the payload ``from_json`` reads.  It takes its token table from
+``to_json``, as ``_render`` does from its callers, and ``to_json``
+reads the variable list off that table's (slot, exponent) keys once the
+terms are written, so the terms are walked once.  The payload is then
+one join of the term entries, the head glued onto the first and the
+closing brackets onto the last.
 
 ``evaluate`` checks that the point binds every occurring variable to an
 int or a Fraction (any other value is rejected), then sums the terms in
@@ -234,30 +238,36 @@ def _render(terms: Iterable, den: int, powers: dict, fraction, sep: str) -> str:
     denominator den.  powers is a token table (_TextPowers, say) that
     writes one variable power, fraction(num, den) a positive reduced
     fraction with den > 1, and sep joins a term's factors, coefficient
-    included.  Each coefficient is reduced here, with a gcd only when den
-    is not 1.  Signs, the omitted coefficient 1 and constant terms are
-    handled here, once for every format.
+    included.  Signs, the omitted coefficient 1 and constant terms are
+    handled here, once for every format.  A coefficient table of the
+    call's own maps each numerator to its term's head, written on first
+    use: the sign, the coefficient reduced against den (a gcd only when
+    den is not 1) and sep, or the sign alone for a unit.  The constant
+    term skips the table, since it writes its 1, and a reduced 1/d is
+    no unit.
     """
     power = powers.__getitem__
     gcd = math.gcd
+    heads = {}
+    head_of = heads.get
     chunks = []
     append = chunks.append
     for mono, num in terms:
-        sign = " - " if num < 0 else " + "
-        size = -num if num < 0 else num
-        if den != 1:
-            g = gcd(size, den)
-            size //= g
-            if g != den:  # the coefficient stays a fraction
-                size = fraction(size, den // g)
-                append(f"{sign}{size}{sep}{sep.join(map(power, mono))}" if mono else sign + size)
+        head = head_of(num) if mono else None
+        if head is None:
+            sign = " - " if num < 0 else " + "
+            size = -num if num < 0 else num
+            if den != 1:
+                g = gcd(size, den)
+                size //= g
+                if g != den:  # the coefficient stays a fraction
+                    size = fraction(size, den // g)
+            if not mono:
+                append(f"{sign}{size}")
                 continue
-        if not mono:
-            append(f"{sign}{size}")
-        elif size == 1:
-            append(sign + sep.join(map(power, mono)))
-        else:
-            append(f"{sign}{size}{sep}{sep.join(map(power, mono))}")
+            head = heads[num] = sign if size == 1 else f"{sign}{size}{sep}"
+        append(head + sep.join(map(power, mono)))
+    heads.clear()  # before the join, so the table adds nothing to the peak
     if not chunks:
         return "0"
     # The leading term drops its joiner: " + a" -> "a", " - a" -> "-a".
@@ -266,20 +276,29 @@ def _render(terms: Iterable, den: int, powers: dict, fraction, sep: str) -> str:
     return "".join(chunks)
 
 
-def _json_terms(terms: Iterable, den: int, powers: dict) -> str:
-    """The JSON term list's entries, terms and powers as in _render, comma-joined."""
+def _json_terms(terms: Iterable, den: int, powers: dict) -> list:
+    """The JSON term list's entries, one string each, terms and powers as in _render.
+
+    A coefficient table of the call's own maps each numerator to its
+    reduced "num" or "num/den" text, written on first use.
+    """
     power = powers.__getitem__
     gcd = math.gcd
+    coeffs = {}
+    coeff_of = coeffs.get
     chunks = []
     append = chunks.append
     for mono, num in terms:
-        if den == 1:
-            coeff = num
-        else:
-            g = gcd(num, den)
-            coeff = num // g if g == den else f"{num // g}/{den // g}"
+        coeff = coeff_of(num)
+        if coeff is None:
+            if den == 1:
+                coeff = str(num)
+            else:
+                g = gcd(num, den)
+                coeff = str(num // g) if g == den else f"{num // g}/{den // g}"
+            coeffs[num] = coeff
         append(f'{{"coeff": "{coeff}", "exps": {{{", ".join(map(power, mono))}}}}}')
-    return ", ".join(chunks)
+    return chunks
 
 
 class Polynomial:
@@ -587,12 +606,19 @@ class Polynomial:
         json.dumps's default layout: {"vars": [...], "terms": [{"coeff":
         "-5/6", "exps": {"C1": 2}}, ...]}.  One walk: the variable list is
         read off the token table's (slot, exponent) keys, which are
-        exactly the pairs the terms hold.
+        exactly the pairs the terms hold.  The head is glued onto the
+        first entry and the closing brackets onto the last, so the
+        payload is one join of the entries, with no second copy of them.
         """
         table = _JsonPowers()
-        body = _json_terms(self._ordered().items(), self._den, table)
+        chunks = _json_terms(self._ordered().items(), self._den, table)
         names = ", ".join(f'"{_NAME[slot]}"' for slot in sorted({slot for slot, _ in table}))
-        return f'{{"vars": [{names}], "terms": [{body}]}}'
+        head = f'{{"vars": [{names}], "terms": ['
+        if not chunks:
+            return head + "]}"
+        chunks[0] = head + chunks[0]
+        chunks[-1] += "]}"
+        return ", ".join(chunks)
 
     @classmethod
     def from_json(cls, text: str) -> "Polynomial":

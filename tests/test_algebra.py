@@ -716,17 +716,33 @@ def _name_order_key(term):
     return (-sum(e for _, e in mono), flat)
 
 
-@settings(deadline=None)
-@given(_json_terms)
-def test_to_json_matches_json_dumps_of_the_payload(terms):
-    """to_json writes the text json.dumps makes of the documented payload."""
-    p = Polynomial.from_terms(terms)
-    payload = {
+def _reference_json(p):
+    """json.dumps of the documented payload, written from terms()."""
+    return json.dumps({
         "vars": p.variables(),
         "terms": [{"coeff": str(c), "exps": dict(mono)}
                   for mono, c in sorted(p.terms(), key=_name_order_key)],
-    }
-    assert p.to_json() == json.dumps(payload)
+    })
+
+
+# One numerator on two monomials and on the constant term: the coefficient
+# table must not give the constant a unit's missing 1, nor drop a 1/d.
+_SHARED_NUMERATORS = [
+    [({"C1": 1}, 1), ({"C2": 1}, 1), ({}, 1)],
+    [({"C1": 1}, -3), ({"C2": 1}, -3), ({}, -3)],
+    [({"C1": 1}, Fraction(1, 6)), ({"C2": 1}, Fraction(1, 6)), ({}, Fraction(1, 6))],
+]
+
+
+@settings(deadline=None)
+@given(_json_terms)
+@example(_SHARED_NUMERATORS[0])
+@example(_SHARED_NUMERATORS[1])
+@example(_SHARED_NUMERATORS[2])
+def test_to_json_matches_json_dumps_of_the_payload(terms):
+    """to_json writes the text json.dumps makes of the documented payload."""
+    p = Polynomial.from_terms(terms)
+    assert p.to_json() == _reference_json(p)
     assert Polynomial.from_json(p.to_json()) == p
 
 
@@ -770,6 +786,9 @@ def _reference_latex(p):
 @example([({"C1": 2}, Fraction(-5, 6)), ({"n": 1}, Fraction(1, 6)), ({}, Fraction(7, 3))])
 @example([({f"C{2**62 - 1}": 3, "X": 1}, -1), ({"C123456789": 1, "n": 2}, Fraction(-1, 2))])
 @example([({"C1": 1, "C2": 2, "C3": 1, "T": 1}, 1), ({"C1": 1, "C4": 1, "X": 2, "n": 1}, -1)])
+@example(_SHARED_NUMERATORS[0])
+@example(_SHARED_NUMERATORS[1])
+@example(_SHARED_NUMERATORS[2])
 def test_text_and_latex_match_a_reference_written_from_terms(terms):
     """to_text and to_latex write what a slow renderer over terms() writes:
     signs between terms, no unit coefficient beside a variable, constants
@@ -777,3 +796,16 @@ def test_text_and_latex_match_a_reference_written_from_terms(terms):
     p = Polynomial.from_terms(terms)
     assert p.to_text() == _reference_text(p)
     assert p.to_latex() == _reference_latex(p)
+
+
+def test_equal_numerators_over_different_denominators_render_apart():
+    """Polynomials holding the same numerators over the denominators 6, 35
+    and 1, rendered one after another in every format, each write their own
+    reduced coefficients: no render call reuses another's."""
+    shape = [({"C1": 2}, 1), ({"C1": 1, "C2": 1}, -3), ({"T": 1}, 5), ({"n": 1}, 1), ({}, -3)]
+    for den in (6, 35, 1, 6):
+        p = Polynomial.from_terms([(mono, Fraction(num, den)) for mono, num in shape])
+        assert (p._den, list(p._ordered().values())) == (den, [1, -3, 5, 1, -3])
+        assert p.to_text() == _reference_text(p)
+        assert p.to_latex() == _reference_latex(p)
+        assert p.to_json() == _reference_json(p)

@@ -264,6 +264,65 @@ def test_emit_golden_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 over the stdout of every dim of one (subcommand, rank, format):
+# emit-chi at dims 1-24 and emit-chi-twist at dims 1-16, each output in
+# dim order.  The output holds no argparse text, so one record serves
+# every CPython.
+_SWEEP_DIMS = {"emit-chi": range(1, 25), "emit-chi-twist": range(1, 17)}
+_SWEEP_DIGESTS = {
+    ("emit-chi", "n", "text"):
+        "12f400c50240324a5e86ec0a14ecf917f09195b84e6a5107106f43eef950e255",
+    ("emit-chi", "n", "latex"):
+        "e839e056575aef0d62cf4a0973f2e52e7598068ceafb89721ae6b1f28ea0e55d",
+    ("emit-chi", "n", "json"):
+        "a0acf578fa4106d51ba9cb93050b13ffef661577d4ba558f5a5ca4e73bc6dc57",
+    ("emit-chi", "1", "text"):
+        "a925cdc795614b751557424f15e7bd5fda3647026bcc8ac09767802a21e629c8",
+    ("emit-chi", "1", "latex"):
+        "53181aa67eaf9349a655ba910bbe645221410e5e1bf9bf091ea42ffa48b37fe9",
+    ("emit-chi", "1", "json"):
+        "45fc367503b3d2d7b51d59d8b84c4a521a8404425480f5f38f260545a2de64dc",
+    ("emit-chi", "3", "text"):
+        "58f1be8998f817042eafc04d3f361fdb5071cf8273eae3177d8638c78fc5281c",
+    ("emit-chi", "3", "latex"):
+        "320c6baf1ff2a9429829c448f6defc40052f372bfd7b90bc1ce76bb35b47828b",
+    ("emit-chi", "3", "json"):
+        "8710aef4077ec86ee3c26ba2775a7e0bef2ddda540046a47c7b02d278f0b98dc",
+    ("emit-chi-twist", "n", "text"):
+        "81a965463fdef239e621db209b63a879860b5f6de387db336c3a45ba3220e27e",
+    ("emit-chi-twist", "n", "latex"):
+        "2daa2848199fb74f08852d5a25ed3c4a7a9626644f2dd33af9a0f06cfbaeb7ae",
+    ("emit-chi-twist", "n", "json"):
+        "0b02ac9fb28f58a03610b265dbd0c2f6db9d91bbb4e06e197bb4b0a475c8593a",
+    ("emit-chi-twist", "1", "text"):
+        "961a9d475f2945a0148d7ca1f513b14d6cb44c7936069263fd4bfddb4fe7493b",
+    ("emit-chi-twist", "1", "latex"):
+        "c7a59a14e3ba10520a3f1e57719a0d8ea24b23e743b150d250a2b073720cf7cc",
+    ("emit-chi-twist", "1", "json"):
+        "8817f1f1c51e3195eff22dda617103e190e2e0a515e9c94adcd181b5cc416589",
+    ("emit-chi-twist", "3", "text"):
+        "c9235af7d60975cc22b42226f7ea7a85edc350bd8c6661d178d5dcf905b59e92",
+    ("emit-chi-twist", "3", "latex"):
+        "b3a03366c98dbc245c34aa5765ad86e3f706d2d613ec735c87362ef4ad6708c9",
+    ("emit-chi-twist", "3", "json"):
+        "75eba7486eadcab49a7a4146d180b0f76ea20136e49a8c6462a9aa0cbcdbd31e",
+}
+
+
+@pytest.mark.parametrize("case", list(_SWEEP_DIGESTS), ids="-".join)
+def test_emit_sweep_digest(capsys, case):
+    """Every emit output across the dims, in every rank and format, hashes as
+    recorded: the renderers write the same bytes at each size."""
+    command, rank, fmt = case
+    digest = hashlib.sha256()
+    for dim in _SWEEP_DIMS[command]:
+        code, out, _ = run_cli(capsys, [command, "--rank", rank, "--dim", str(dim),
+                                        "--format", fmt])
+        assert code == 0, (command, rank, dim, fmt)
+        digest.update(out.encode())
+    assert digest.hexdigest() == _SWEEP_DIGESTS[case]
+
+
 def test_emit_chi_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, ["emit-chi", "--rank", "n", "--dim", "6",
                                     "--format", "json"])

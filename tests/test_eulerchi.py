@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import random
@@ -442,13 +443,19 @@ def _todd_projective(dim: int) -> list:
 
 @pytest.mark.parametrize("dim", range(1, 16))
 def test_weights_are_todd_class_coefficients(dim):
-    # Hirzebruch-Riemann-Roch on P^N: chi(F) = sum_k B_k / k! * td_{N-k}(P^N)
-    # (Fulton, Intersection Theory, ch. 15), so the untwisted weight of B_k
-    # over N! is td_{N-k} / k!, with no Stirling number in sight.
+    # Hirzebruch-Riemann-Roch on P^N: chi(F(t)) = sum_k B_k / k! *
+    # [H^(N-k)] (e^(tH) td(P^N)) (Fulton, Intersection Theory, ch. 15), so
+    # the weight of B_k over N! is that coefficient over k!, with no
+    # Stirling number and no elementary_values in sight.  Untwisted at
+    # dims 1-15, and at twists -6..6 up to dim 12.
     todd = _todd_projective(dim)
-    weights = eulerchi._weights(dim, 0)
-    for k in range(dim + 1):
-        assert Fraction(weights[k], math.factorial(dim)) == todd[dim - k] / math.factorial(k)
+    for twist in range(-6, 7) if dim <= 12 else (0,):
+        exp = [Fraction(twist**m, math.factorial(m)) for m in range(dim + 1)]
+        series = [sum(exp[i] * todd[m - i] for i in range(m + 1)) for m in range(dim + 1)]
+        weights = eulerchi._weights(dim, twist)
+        for k in range(dim + 1):
+            assert (Fraction(weights[k], math.factorial(dim))
+                    == series[dim - k] / math.factorial(k)), (twist, k)
 
 
 def test_rank_below_dimension_still_consistent():
@@ -558,6 +565,17 @@ def test_chi_text_keeps_a_reduced_denominator_above_ten_to_the_thirty():
     writes that fraction in full."""
     chi = eulerchi._cached_chi.__wrapped__(None, 29, "recursive")
     assert chi.to_text().startswith(f"1/{math.factorial(29)}*C1^29 ")
+
+
+def test_chi_json_above_the_digest_range_parses_and_counts_its_terms():
+    """At dim 29, where no golden or digest renders to_json, the payload
+    parses, starts with the reduced 1/29! on C1^29 and lists every term
+    and variable."""
+    chi = eulerchi._cached_chi.__wrapped__(None, 29, "recursive")
+    payload = json.loads(chi.to_json())
+    assert payload["terms"][0] == {"coeff": f"1/{math.factorial(29)}", "exps": {"C1": 29}}
+    assert len(payload["terms"]) == len(chi)
+    assert payload["vars"] == chi.variables()
 
 
 def test_emitting_chi_and_g_sorts_nothing_and_builds_no_power_sum(capsys, monkeypatch):
