@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: stirling, powersum, emit-chi, emit-chi-twist, eval, verify,
-bench.  Exit codes: 0 on success, 1 when a verification or agreement
-check fails, 2 for usage errors (argparse's convention).  Flags are
-parsed here but bounded in the library: a value it refuses exits 2 with
-the library's message, such as "max-a: expected an integer, at least 0,
-at most 65535, got 70000".
+bench.  Exit codes: 0 on success; 1 when a check failed (verify found a
+mismatch, or bench's methods disagree); 2 when a value was refused before
+any work (argparse's usage error).  Flags are parsed here but bounded in
+the library: a value it refuses exits 2 with the library's message, such
+as "max-a: expected an integer, at least 0, at most 65535, got 70000".
+Flags are read under CPython's int-to-text digit limit; results are
+written without it, however many digits they have.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ def format_stirling_rows(row, last):
     Each column's width is read from the header and the last two rows.
     Below the header an unsigned column's entries never shrink, and a
     signed column has its minus sign in one of those two rows if in any.
-    Those rows become text first, so a refusal comes before the first
-    line; every other line is then converted and written alone.
+    Those rows become text first, for the widths; every other line is
+    then converted and written alone.
     """
     header = ["N\\m", *map(str, range(last + 1))]
     tail = [[str(n), *map(str, row(n))] for n in range(max(last - 1, 0), last + 1)]
@@ -195,19 +197,7 @@ def _cmd_eval(args) -> int:
             f"for --dim {args.dim}, got {len(args.chern)}"
         )
     cv = ChernVector(args.dim, args.rank, args.chern)
-    value = evaluate_chi(cv, args.twist)
-    # CPython 3.11+ refuses to write an int of more than 4300 digits as
-    # text; the exact value is the output, so lift the limit for this print.
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        print(value)
-        return 0
-    limit = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        print(value)
-    finally:
-        set_limit(limit)
+    print(evaluate_chi(cv, args.twist))
     return 0
 
 
@@ -363,10 +353,18 @@ def main(argv=None) -> int:
             args.parser.error(f"argument --{name.replace('_', '-')}: expected one value")
     # Every bound lives in the library, whose argument checks raise
     # ValueError before any work starts: a refused value is a usage error.
+    # The flags were read under CPython's limit on int-to-text digits
+    # (3.11+), which guards input from outside; the results are exact and
+    # are the output, so the command runs and writes them without it.
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
     try:
         return args.handler(args)
     except ValueError as err:
         args.parser.error(str(err))
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,10 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 import chipoly
 from chipoly.algebra import Polynomial
 from chipoly.bench import BenchReport, MethodTiming
-from chipoly import cli
+from chipoly import cli, oracle
 from chipoly.cli import main
 from chipoly.eulerchi import ChernVector, chi_polynomial, chi_twist_polynomial, evaluate_chi
-from chipoly.oracle import Mismatch, VerifyReport
+from chipoly.oracle import Mismatch, SplitBundle, VerifyReport, split_chi
 from chipoly.stirling import StirlingTable
 from chipoly.symmfun import power_sum_recursive
 
@@ -138,24 +140,59 @@ def test_stirling_memory_is_the_table_and_about_one_line(signed):
     assert peak - table <= 12 * sink.longest, (peak, table, sink.longest)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="CPython 3.11+ limits writing ints as text")
-def test_stirling_refused_entry_writes_nothing(capsys):
-    """The last two rows, which hold every column's largest entry, are
-    converted before the first line is written, so an entry over the digit
-    limit exits 2 with nothing on stdout.  [312, 1] = 311! has 642 digits,
-    over the lowest limit CPython allows, 640."""
+def _main_at_digit_limit(limit, argv):
+    """main(argv) with stdout captured, under the int-to-text digit limit
+    `limit`; returns (exit code, stdout).  The limit must read `limit`
+    again after the call."""
     before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    sys.set_int_max_str_digits(limit)
     try:
-        with pytest.raises(SystemExit) as exc:
-            main(["stirling", "--rows", "312"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert sys.get_int_max_str_digits() == limit
     finally:
         sys.set_int_max_str_digits(before)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "640" in captured.err.splitlines()[-1]
+    return code, out.getvalue()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="CPython 3.11+ limits writing ints as text")
+def test_stirling_prints_entries_past_the_digit_limit():
+    """Results are written without the digit limit: [312, 1] = 311! has 642
+    digits, over the lowest limit CPython allows, 640, and is printed in
+    full in the last row."""
+    code, out = _main_at_digit_limit(640, ["stirling", "--rows", "312"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 314
+    assert lines[-1].split()[:3] == ["312", "0", str(math.factorial(311))]
+    assert len(lines[-1].split()) == 314
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="CPython 3.11+ limits writing ints as text")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_failure_past_the_digit_limit_exits_1(monkeypatch, fmt):
+    """A failed check exits 1 with its witness, however many digits it has:
+    with N! * chi one too large, the untwisted witness at dim 320 is the
+    count plus 1/320!, whose denominator has 665 digits."""
+    real = oracle._chi_numerator
+    monkeypatch.setattr(oracle, "_chi_numerator", lambda cv, t=None: real(cv, t) + 1)
+    argv = ["verify", "--dim", "320", "--rank", "1", "--trials", "1", "--twist-range", "0"]
+    code, out = _main_at_digit_limit(640, argv + ["--format", fmt])
+    assert code == 1
+    count = split_chi(SplitBundle(320, (3,)))
+    actual = count + Fraction(1, math.factorial(320))
+    assert len(str(actual.denominator)) > 640
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert [(m["t"], m["actual"]) for m in report["mismatches"]] == [
+            (None, str(actual)), (0, str(actual))]
+    else:
+        assert out.splitlines()[3] == (
+            f"  trial 0 a=[3] untwisted: polynomial gave {actual}, direct count {count}")
 
 
 def test_powersum_text_and_methods(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -404,6 +405,59 @@ def test_chi_at_twists_0_to_n_recovers_the_chern_vector():
         assert tuple(c[1:]) == classes, cv
 
 
+# Integrality of the Hilbert polynomial chi(F(t)), Schwarzenberger's
+# condition (his appendix to Hirzebruch, Topological Methods in Algebraic
+# Geometry): the Chern classes of a sheaf on P^N make chi(F(t)) an integer
+# at every integer t.  A polynomial of degree N does that exactly when it
+# does at t = 0..N.  The checks read N! * chi from _chi_numerator and need
+# no Stirling number and no Newton identity of their own.
+
+
+def _integral_at(cv, twists) -> bool:
+    """Whether chi(F(t)) is an integer at every t in twists."""
+    scale = math.factorial(cv.dim)
+    return all(eulerchi._chi_numerator(cv, t) % scale == 0 for t in twists)
+
+
+def test_split_bundles_have_integral_hilbert_polynomials():
+    rng = random.Random(5)
+    for dim in range(1, 13):
+        for rank in range(1, 5):
+            for _ in range(25):
+                bundle = SplitBundle(dim, tuple(rng.randint(-9, 9) for _ in range(rank)))
+                assert _integral_at(bundle.chern_vector(), range(dim + 1)), bundle
+
+
+def test_every_chern_vector_on_the_plane_is_integral():
+    for rank in (1, 2, 3):
+        for c1, c2 in itertools.product(range(-5, 6), repeat=2):
+            assert _integral_at(ChernVector(2, rank, (c1, c2)), range(3)), (rank, c1, c2)
+
+
+def test_integrality_on_p3_is_c1_c2_congruent_to_c3_mod_2():
+    seen = set()
+    for rank in (1, 2, 3):
+        for c1, c2, c3 in itertools.product(range(-4, 5), repeat=3):
+            integral = _integral_at(ChernVector(3, rank, (c1, c2, c3)), range(4))
+            assert integral == ((c1 * c2 - c3) % 2 == 0), (rank, c1, c2, c3)
+            seen.add(integral)
+    assert seen == {True, False}
+
+
+def test_integrality_at_0_to_n_is_integrality_at_every_twist():
+    """t = 0..N decides integrality: the window -N-6..2N+5, which holds it
+    with room on both sides, gives the same answer, both ways round."""
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(300):
+        dim, rank = rng.randint(1, 8), rng.randint(1, 4)
+        cv = ChernVector(dim, rank, tuple(rng.randint(-4, 4) for _ in range(dim)))
+        integral = _integral_at(cv, range(dim + 1))
+        assert integral == _integral_at(cv, range(-dim - 6, 2 * dim + 6)), cv
+        seen.add(integral)
+    assert seen == {True, False}
+
+
 def _partition_counts(top: int) -> list:
     """p(0..top), the number of partitions of each integer."""
     counts = [1] + [0] * top
@@ -536,7 +590,7 @@ def _split_point(bundle):
     return {RANK: bundle.rank, **{chern(i): c for i, c in enumerate(classes, 1)}}
 
 
-@pytest.mark.parametrize("dim", [25, 29, 32, 36, 40])
+@pytest.mark.parametrize("dim", [25, 29, 32, 36, 40, 41, 44])
 def test_symbolic_chi_above_the_term_for_term_range_counts_split_bundles(dim):
     """chi at the symbolic rank, past the dims that
     test_closed_form_equals_the_power_sum_assembly compares term for term,
