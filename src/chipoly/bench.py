@@ -17,7 +17,6 @@ import time
 from ._record import Record
 from .algebra import _check_int, _is_scalar
 from .eulerchi import METHODS, build_chi_polynomial
-from .symmfun import PowerSumCache
 
 DEFAULT_MATRIX_CUTOFF = 16
 # Longest timeout in seconds: Connection.poll waits in whole milliseconds
@@ -118,9 +117,8 @@ class BenchReport(Record):
 
 
 def _build_once(dim: int, method: str):
-    cache = PowerSumCache()
     start = time.perf_counter()
-    poly = build_chi_polynomial(None, dim, method, cache)
+    poly = build_chi_polynomial(None, dim, method)
     return time.perf_counter() - start, poly
 
 

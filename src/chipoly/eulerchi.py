@@ -73,6 +73,7 @@ def _power_sums(dim: int, method: str = "recursive", cache=None) -> list:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "matrix":
         return [power_sum_matrix(k) for k in range(1, dim + 1)]
+    cache = cache or PowerSumCache()
     return [power_sum_recursive(k, cache) for k in range(1, dim + 1)]
 
 
@@ -194,9 +195,9 @@ def build_chi_polynomial(
     the closed form instead.  chi is (1/N!) * sum_k [N+1, k+1] * B_k over
     the rank B_0 and the route's B_1..B_N, with the weights of _weights,
     every product landing in one integer dict over N!.  With cache=None
-    the recursive route reads and fills the shared module memo of power
-    sums.  The benchmark passes a fresh PowerSumCache so that each timed
-    run pays the full cost of its method.
+    the recursive route builds B_1..B_N in one fresh PowerSumCache that
+    the call drops on return, so each call pays the full cost of its
+    method; pass a PowerSumCache to share the power sums between calls.
     """
     sums = [_rank_poly(rank)] + _power_sums(dim, method, cache)
     return Polynomial.sum_of_products(zip(_weights(dim, 0), sums), math.factorial(dim))
@@ -204,12 +205,6 @@ def build_chi_polynomial(
 
 # typed: True and 3.0 hash like 1 and 3, and must reach the checks.
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _cached_chi(rank, dim, method):
-    if method == "recursive":
-        return _closed_form(rank, dim, False)
-    return build_chi_polynomial(rank, dim, method)
-
-
 def chi_polynomial(rank, dim: int, method: str = "recursive") -> Polynomial:
     """The universal polynomial P with chi(F) = P(c_1, ..., c_N).
 
@@ -217,14 +212,12 @@ def chi_polynomial(rank, dim: int, method: str = "recursive") -> Polynomial:
     the N of projective N-space.  The default method, "recursive", builds
     chi from Waring's closed form (_closed_form), already in canonical
     order; "matrix" assembles it from the Newton matrix's power sums.
-    Results are cached per (rank, dim, method), however the call spells
-    them, up to CACHE_SIZE of them.
+    Results are cached per call, up to CACHE_SIZE of them; a call spelled
+    another way (method named, or passed by keyword) is another entry.
     """
-    return _cached_chi(rank, dim, method)
-
-
-chi_polynomial.cache_info = _cached_chi.cache_info
-chi_polynomial.cache_clear = _cached_chi.cache_clear
+    if method == "recursive":
+        return _closed_form(rank, dim, False)
+    return build_chi_polynomial(rank, dim, method)
 
 
 def _binomial_poly(top: Polynomial, j: int) -> Polynomial:
@@ -253,22 +246,14 @@ def twisted_chern_polynomial(index: int, rank) -> Polynomial:
 
 
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _cached_chi_twist(rank, dim):
-    return _closed_form(rank, dim, True)
-
-
 def chi_twist_polynomial(rank, dim: int) -> Polynomial:
     """The polynomial G with chi(F(t)) = G(c_1, ..., c_N, t).
 
     Built from Waring's closed form (_closed_form), already in canonical
     order; twisted_chern_polynomial is its independent check.  Cached per
-    (rank, dim), however the call spells them, up to CACHE_SIZE of them.
+    call, as chi_polynomial is, up to CACHE_SIZE of them.
     """
-    return _cached_chi_twist(rank, dim)
-
-
-chi_twist_polynomial.cache_info = _cached_chi_twist.cache_info
-chi_twist_polynomial.cache_clear = _cached_chi_twist.cache_clear
+    return _closed_form(rank, dim, True)
 
 
 def _newton_power_sums(rank: int, classes: tuple) -> tuple:

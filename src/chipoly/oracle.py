@@ -17,8 +17,8 @@ degrees (see stirling._line_bundle_count).
 Arguments are checked once, where they enter: verify checks its own,
 SplitBundle the dimension and summand degrees, split_chi_twist its
 twist.  Below that nothing is checked again (_chi_numerator does not
-check the twist, nor _line_bundle_count a summand's degree), so each of
-verify's checks costs one weighted sum and one split count.
+check the twist, nor _split_count or _line_bundle_count a degree), so
+each of verify's checks costs one weighted sum and one split count.
 
 Random bundles are drawn with a fixed 32-bit linear congruential
 generator (state <- 1664525*state + 1013904223 mod 2^32, draws from the
@@ -236,7 +236,7 @@ def verify(
         # t = None is the untwisted check, then every twist in order.
         for t in chain((None,), range(-twist_range, twist_range + 1)):
             got = _chi_numerator(cv, t)
-            want = split_chi(bundle) if t is None else split_chi_twist(bundle, t)
+            want = _split_count(bundle, 0 if t is None else t)
             if got != fact * want:
                 report.mismatches.append(Mismatch(trial, degrees, t, want, Fraction(got, fact)))
     return report

@@ -20,10 +20,11 @@ from .algebra import AUX, Polynomial, _check_int
 class StirlingTable:
     """Memoized triangle of unsigned Stirling numbers of the first kind.
 
-    Rows are built on demand and kept forever, under a lock so concurrent
-    fills stay consistent.  Whole rows serve the stirling command and the
-    factorial polynomials; through unsigned_stirling1 the table is the
-    reference that eulerchi._weights (which builds no row) is tested against.
+    Rows are built on demand and kept as long as the table, which its
+    caller owns, under a lock so concurrent fills stay consistent.  Whole
+    rows serve the stirling command and the factorial polynomials; through
+    unsigned_stirling1 the table is the reference that eulerchi._weights
+    (which builds no row) is tested against.
     """
 
     def __init__(self):
@@ -60,17 +61,22 @@ class StirlingTable:
         return tuple(-v if (n - m) % 2 else v for m, v in enumerate(row))
 
 
-_TABLE = StirlingTable()
-
-
 def unsigned_stirling1(n: int, m: int) -> int:
-    """Unsigned Stirling number [n, m]; the reference eulerchi._weights is tested against."""
-    return _TABLE.unsigned(n, m)
+    """Unsigned Stirling number [n, m]; the reference eulerchi._weights is tested against.
+
+    Each call builds rows 0..n in a fresh table; to read many entries of
+    one row, read StirlingTable().row(n) once.
+    """
+    return StirlingTable().unsigned(n, m)
 
 
 def signed_stirling1(n: int, m: int) -> int:
-    """Signed Stirling number s(n, m) = (-1)^(n-m) [n, m]."""
-    return _TABLE.signed(n, m)
+    """Signed Stirling number s(n, m) = (-1)^(n-m) [n, m].
+
+    Each call builds rows 0..n in a fresh table; to read many entries of
+    one row, read StirlingTable().row(n, signed=True) once.
+    """
+    return StirlingTable().signed(n, m)
 
 
 def rising_factorial_poly(n: int) -> Polynomial:
@@ -80,13 +86,15 @@ def rising_factorial_poly(n: int) -> Polynomial:
     enters the Euler-characteristic formula.
     """
     _check_int(n, "rising factorial length", 1)
-    return Polynomial.from_terms([({AUX: k}, c) for k, c in enumerate(_TABLE.row(n + 1)[1:])])
+    row = StirlingTable().row(n + 1)
+    return Polynomial.from_terms([({AUX: k}, c) for k, c in enumerate(row[1:])])
 
 
 def falling_factorial_poly(n: int) -> Polynomial:
     """X(X-1)...(X-n+1) expanded in X; coefficients are the signed numbers."""
     _check_int(n, "falling factorial length", 1)
-    return Polynomial.from_terms([({AUX: k}, c) for k, c in enumerate(_TABLE.row(n, signed=True))])
+    row = StirlingTable().row(n, signed=True)
+    return Polynomial.from_terms([({AUX: k}, c) for k, c in enumerate(row)])
 
 
 def _line_bundle_count(dim: int, degree: int) -> int:

@@ -130,16 +130,13 @@ class PowerSumCache:
             return self._known[r]
 
 
-_CACHE = PowerSumCache()
-
-
 def power_sum_recursive(r: int, cache: PowerSumCache | None = None) -> Polynomial:
     """B_r via the memoized Newton recurrence.
 
-    Pass a private cache to measure cold-start cost; the module-level
-    default is shared and only ever grows.
+    With cache=None the call builds B_1..B_r in a fresh table that it drops
+    on return; pass a PowerSumCache to share B_k between calls.
     """
-    return (cache or _CACHE).power_sum(r)
+    return (cache or PowerSumCache()).power_sum(r)
 
 
 def elementary_values(values, count: int) -> list[int]:

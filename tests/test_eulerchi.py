@@ -1,8 +1,10 @@
+import gc
 import itertools
 import json
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,12 @@ from chipoly.eulerchi import (
     twisted_chern_polynomial,
 )
 from chipoly.oracle import SplitBundle, split_chi, split_chi_twist, verify
-from chipoly.stirling import unsigned_stirling1
+from chipoly.stirling import (
+    falling_factorial_poly,
+    rising_factorial_poly,
+    signed_stirling1,
+    unsigned_stirling1,
+)
 from chipoly.symmfun import PowerSumCache, power_sum_recursive, power_sum_values
 
 C1 = Polynomial.variable("C1")
@@ -225,18 +232,29 @@ def test_chern_vector_rejects_bools():
         chi_twist_polynomial(2, True)
 
 
-def test_chi_cache_ignores_call_spelling():
-    chi_polynomial.cache_clear()
-    first = chi_polynomial(3, 6)
-    assert chi_polynomial(3, 6, "recursive") is first
-    assert chi_polynomial(rank=3, dim=6) is first
-    assert chi_polynomial(3, dim=6, method="recursive") is first
-    info = chi_polynomial.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
-    chi_twist_polynomial.cache_clear()
-    twisted = chi_twist_polynomial(2, 3)
-    assert chi_twist_polynomial(rank=2, dim=3) is twisted
-    assert chi_twist_polynomial.cache_info().misses == 1
+def test_power_sum_and_stirling_calls_keep_no_table():
+    """Power sums and Stirling numbers are built in a table the call drops:
+    once the results are gone, almost nothing they allocated is still held.
+    chi_polynomial, chi_twist_polynomial and _weights stay out, since their
+    caches are meant to keep results."""
+    calls = [
+        lambda: power_sum_recursive(20),
+        lambda: build_chi_polynomial(None, 16, "recursive"),
+        lambda: unsigned_stirling1(300, 1),
+        lambda: signed_stirling1(400, 2),
+        lambda: rising_factorial_poly(200),
+        lambda: falling_factorial_poly(200),
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for call in calls:
+            call()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
@@ -264,6 +282,7 @@ def test_newton_power_sums_match_evaluated_b_j(dim):
     evaluate_chi reads, are for every j the symbolic B_j evaluated at the
     classes, and for a split bundle the power sums of its degrees."""
     rng = random.Random(dim)
+    cache = PowerSumCache()
     for rank in range(1, 6):
         vectors = [tuple(rng.randint(-(10**6), 10**6) for _ in range(dim)) for _ in range(3)]
         vectors += [(-(10**6),) * dim, tuple((-1) ** i * 10**6 for i in range(dim))]
@@ -272,7 +291,7 @@ def test_newton_power_sums_match_evaluated_b_j(dim):
             point = {chern(i): c for i, c in enumerate(classes, 1)}
             assert p[0] == rank and len(p) == dim + 1
             for j in range(1, dim + 1):
-                assert p[j] == power_sum_recursive(j).evaluate(point), (classes, j)
+                assert p[j] == cache.power_sum(j).evaluate(point), (classes, j)
         degrees = tuple(rng.randint(-9, 9) for _ in range(rank - 1)) + (-rng.randint(1, 9),)
         p = SplitBundle(dim, degrees).chern_vector()._power_sums
         assert list(p) == [power_sum_values(degrees, j) for j in range(dim + 1)], degrees
@@ -470,8 +489,9 @@ def _partition_counts(top: int) -> list:
 def test_power_sums_have_one_term_per_partition():
     # B_r has a nonzero coefficient for every partition of r.
     p = _partition_counts(30)
+    cache = PowerSumCache()
     for r in range(1, 31):
-        assert len(power_sum_recursive(r)) == p[r]
+        assert len(cache.power_sum(r)) == p[r]
 
 
 def test_chi_has_one_term_per_partition_of_each_weight():
@@ -572,9 +592,9 @@ def test_closed_form_equals_the_power_sum_assembly(rank):
     power-sum assembly's terms and denominator, and come with their
     canonical order already set."""
     cache = PowerSumCache()
-    builds = [(eulerchi._cached_chi.__wrapped__(rank, dim, "recursive"),
+    builds = [(chi_polynomial.__wrapped__(rank, dim, "recursive"),
                build_chi_polynomial(rank, dim, "recursive", cache)) for dim in range(1, 25)]
-    builds += [(eulerchi._cached_chi_twist.__wrapped__(rank, dim),
+    builds += [(chi_twist_polynomial.__wrapped__(rank, dim),
                 _twist_assembly(rank, dim, cache)) for dim in range(1, 17)]
     for got, reference in builds:
         assert (got._den, got._terms) == (reference._den, reference._terms)
@@ -596,7 +616,7 @@ def test_symbolic_chi_above_the_term_for_term_range_counts_split_bundles(dim):
     test_closed_form_equals_the_power_sum_assembly compares term for term,
     evaluated at split bundles equals their line-bundle counts.  Built
     outside the cache, which would otherwise keep every polynomial."""
-    chi = eulerchi._cached_chi.__wrapped__(None, dim, "recursive")
+    chi = chi_polynomial.__wrapped__(None, dim, "recursive")
     for degrees in _LARGE_DIM_BUNDLES:
         bundle = SplitBundle(dim, degrees)
         assert chi.evaluate(_split_point(bundle)) == split_chi(bundle), degrees
@@ -606,7 +626,7 @@ def test_symbolic_chi_above_the_term_for_term_range_counts_split_bundles(dim):
 def test_symbolic_g_above_the_term_for_term_range_counts_split_bundles(dim):
     """G at the symbolic rank, past the term-for-term dims, equals the twisted
     line-bundle counts of split bundles, negative twists included."""
-    G = eulerchi._cached_chi_twist.__wrapped__(None, dim)
+    G = chi_twist_polynomial.__wrapped__(None, dim)
     for degrees in _LARGE_DIM_BUNDLES:
         bundle = SplitBundle(dim, degrees)
         point = _split_point(bundle)
@@ -617,7 +637,7 @@ def test_symbolic_g_above_the_term_for_term_range_counts_split_bundles(dim):
 def test_chi_text_keeps_a_reduced_denominator_above_ten_to_the_thirty():
     """At dim 29 the leading coefficient is 1/29!, about 8.8e30: the text
     writes that fraction in full."""
-    chi = eulerchi._cached_chi.__wrapped__(None, 29, "recursive")
+    chi = chi_polynomial.__wrapped__(None, 29, "recursive")
     assert chi.to_text().startswith(f"1/{math.factorial(29)}*C1^29 ")
 
 
@@ -625,7 +645,7 @@ def test_chi_json_above_the_digest_range_parses_and_counts_its_terms():
     """At dim 29, where no golden or digest renders to_json, the payload
     parses, starts with the reduced 1/29! on C1^29 and lists every term
     and variable."""
-    chi = eulerchi._cached_chi.__wrapped__(None, 29, "recursive")
+    chi = chi_polynomial.__wrapped__(None, 29, "recursive")
     payload = json.loads(chi.to_json())
     assert payload["terms"][0] == {"coeff": f"1/{math.factorial(29)}", "exps": {"C1": 29}}
     assert len(payload["terms"]) == len(chi)
