@@ -34,7 +34,9 @@ Which route does what:
   power sum p_j of the Chern roots, which Newton's identities give from
   the classes in plain integers; a ChernVector computes them once, when
   it is built, so no polynomial is built.  _chi_numerator is that sum
-  before the division by N!, an integer, which verify compares.
+  before the division by N!, an integer, taken with weights the caller
+  computed: evaluate_chi computes them once per call, and verify once
+  per twist for a block of trials.
 Everything here is exact over Q; the rank may be a specific integer or
 left symbolic as the variable n.
 """
@@ -54,9 +56,6 @@ METHODS = ("matrix", "recursive")
 # Entries kept by each of the chi and G caches below; cached polynomials
 # grow with the partition counts, so the caches are bounded.
 CACHE_SIZE = 64
-# Entries kept of _weights, N+1 integers each: every twist of verify's
-# window at one dim up to --twist-range 511, so a trial pays no new weights.
-WEIGHTS_CACHE_SIZE = 1024
 
 
 def _rank_poly(rank) -> Polynomial:
@@ -77,16 +76,17 @@ def _power_sums(dim: int, method: str = "recursive", cache=None) -> list:
     return [power_sum_recursive(k, cache) for k in range(1, dim + 1)]
 
 
-@lru_cache(maxsize=WEIGHTS_CACHE_SIZE)
-def _weights(dim: int, twist) -> tuple:
-    """q_0..q_N, q_j = sum_{k>=j} [N+1, k+1] binom(k, j) twist^(k-j), memoised.
+def _weights(dim: int, twist: int) -> tuple:
+    """q_0..q_N, q_j = sum_{k>=j} [N+1, k+1] binom(k, j) twist^(k-j).
 
     q_j weighs B_j in N! * chi(F(twist)): B_k of the roots shifted by twist
     is sum_j binom(k, j) twist^(k-j) B_j.  So the q_j are the coefficients
     of R(x + twist), where R(x) = sum_k [N+1, k+1] x^k = (x + 1)...(x + N)
     defines the Stirling numbers: q_j = e_(N-j)(1 + twist, ..., N + twist),
     from elementary_values, which also gives a split bundle's Chern classes.
-    No Stirling row is built.  twist is an integer.
+    No Stirling row is built and nothing is kept: each call costs O(N^2)
+    integer steps, and its caller keeps the weights as long as it reads
+    them.  twist is an integer.
     """
     return (*reversed(elementary_values(range(1 + twist, dim + 1 + twist), dim)), 1)
 
@@ -301,29 +301,28 @@ class ChernVector(FrozenRecord):
         set_field(self, "_power_sums", _newton_power_sums(rank, classes))
 
 
-def _chi_numerator(cv: ChernVector, twist: int | None = None) -> int:
-    """N! * chi(F) (or N! * chi(F(twist))) at cv: an integer, sum_j q_j(t) p_j.
+def _chi_numerator(weights: tuple, cv: ChernVector) -> int:
+    """N! * chi(F(t)) at cv for weights = _weights(cv.dim, t): sum_j q_j(t) p_j.
 
-    The weights of _weights times the power sums p_j of the Chern roots,
-    which cv computed once when it was built, with t = 0 when there is no
-    twist.  The sum is the one chi and G are assembled from, with p_j in
-    place of B_j, so no polynomial is built.  verify compares it with N!
-    times a direct count, in integers.  twist is None or an integer that
-    the caller has checked: evaluate_chi checks it, and verify's twists
-    are the integers of its window.
+    An integer: the weights times the power sums p_j of the Chern roots,
+    which cv computed once when it was built.  The sum is the one chi and
+    G are assembled from, with p_j in place of B_j, so no polynomial is
+    built.  The caller computes the weights, with t = 0 when there is no
+    twist: evaluate_chi once per call, and verify once per twist for each
+    block of trials, comparing the sum with N! times a direct count.
     """
-    return sum(map(mul, _weights(cv.dim, 0 if twist is None else twist), cv._power_sums))
+    return sum(map(mul, weights, cv._power_sums))
 
 
 def evaluate_chi(cv: ChernVector, twist: int | None = None) -> Fraction:
     """Exact chi(F) (or chi(F(twist))) at a concrete Chern vector.
 
     Returns (1/N!) * sum_j q_j(t) p_j, the integer _chi_numerator over N!,
-    once a twist that is not None is checked.
+    once a twist that is not None is checked.  The weights _weights(N, t)
+    are computed for this call and dropped with it.
     """
-    if twist is not None:
-        _check_int(twist, "twist")
-    return Fraction(_chi_numerator(cv, twist), math.factorial(cv.dim))
+    t = 0 if twist is None else _check_int(twist, "twist")
+    return Fraction(_chi_numerator(_weights(cv.dim, t), cv), math.factorial(cv.dim))
 
 
 def prefactor_parts(poly: Polynomial, dim: int) -> tuple[Polynomial, Polynomial]:

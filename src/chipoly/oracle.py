@@ -14,11 +14,18 @@ builds no Fraction; only a mismatch is reported as the rational value.
 The counts come from math.comb, with the reflection rule for negative
 degrees (see stirling._line_bundle_count).
 
+The weights q_j(t) depend on the dimension and the twist, never on the
+bundle, so verify checks its trials in blocks of _BLOCK: it draws a
+block's bundles, then walks the twists once, computing each twist's
+weights once and checking every trial of the block against them.  A
+call keeps one block and one twist's weights, whatever the twist range,
+and nothing once it returns.
+
 Arguments are checked once, where they enter: verify checks its own,
 SplitBundle the dimension and summand degrees, split_chi_twist its
-twist.  Below that nothing is checked again (_chi_numerator does not
-check the twist, nor _split_count or _line_bundle_count a degree), so
-each of verify's checks costs one weighted sum and one split count.
+twist.  Below that nothing is checked again (_weights does not check
+the twist, nor _split_count or _line_bundle_count a degree), so each of
+verify's checks costs one weighted sum and one split count.
 
 Random bundles are drawn with a fixed 32-bit linear congruential
 generator (state <- 1664525*state + 1013904223 mod 2^32, draws from the
@@ -31,12 +38,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 
 from ._record import FrozenRecord, Record
 from .algebra import _check_int
 # verify checks _chi_numerator, the integer that evaluate_chi divides by
-# N!; evaluate_chi stays importable from this module under its own name.
-from .eulerchi import ChernVector, _chi_numerator, evaluate_chi  # noqa: F401
+# N!.  evaluate_chi stays re-exported here under its own name because the
+# benchmark harness wraps it as oracle.evaluate_chi; drop it when the
+# benchmark next changes.
+from .eulerchi import ChernVector, _chi_numerator, _weights, evaluate_chi  # noqa: F401
 from .stirling import _line_bundle_count
 from .symmfun import elementary_values
 
@@ -45,6 +55,9 @@ _LCG_INC = 1013904223
 _LCG_MASK = 0xFFFFFFFF
 # Largest verify max-a: Lcg.next_int draws from 16 bits, so bound <= 2^16.
 MAX_A = (1 << 16) - 1
+# Trials verify checks against one twist's weights: the default --trials
+# (50) fits one block, so each twist's weights are computed once a call.
+_BLOCK = 64
 
 
 class Lcg:
@@ -218,7 +231,8 @@ def verify(
     every twist t in -twist_range..twist_range.  A check compares
     N! * chi (_chi_numerator) with N! times the count, in integers; any
     disagreement lands in the report with its inputs and the value
-    evaluate_chi would give.
+    evaluate_chi would give, in trial order and each trial's in twist
+    order, though the checks run in blocks of _BLOCK trials.
     """
     _check_int(dim, "dimension", 1)
     _check_int(rank, "rank", 1)
@@ -228,15 +242,21 @@ def verify(
     rng = Lcg(seed)
     report = VerifyReport(dim, rank, trials, max_a, seed, twist_range)
     fact = math.factorial(dim)
-    for trial in range(trials):
-        degrees = tuple(rng.next_int(max_a + 1) for _ in range(rank))
-        bundle = SplitBundle(dim, degrees)
-        cv = bundle.chern_vector()
-        report.checks += 2 * twist_range + 2
+    for start in range(0, trials, _BLOCK):
+        block = []
+        for trial in range(start, min(start + _BLOCK, trials)):
+            bundle = SplitBundle(dim, tuple(rng.next_int(max_a + 1) for _ in range(rank)))
+            block.append((trial, bundle, bundle.chern_vector()))
         # t = None is the untwisted check, then every twist in order.
         for t in chain((None,), range(-twist_range, twist_range + 1)):
-            got = _chi_numerator(cv, t)
-            want = _split_count(bundle, 0 if t is None else t)
-            if got != fact * want:
-                report.mismatches.append(Mismatch(trial, degrees, t, want, Fraction(got, fact)))
+            shift = 0 if t is None else t
+            weights = _weights(dim, shift)
+            for trial, bundle, cv in block:
+                got = _chi_numerator(weights, cv)
+                want = _split_count(bundle, shift)
+                if got != fact * want:
+                    report.mismatches.append(
+                        Mismatch(trial, bundle.twists, t, want, Fraction(got, fact)))
+    report.checks = trials * (2 * twist_range + 2)
+    report.mismatches.sort(key=attrgetter("trial"))  # stable: twist order within a trial
     return report

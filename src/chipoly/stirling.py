@@ -17,14 +17,43 @@ import threading
 from .algebra import AUX, Polynomial, _check_int
 
 
+def _next_row(prev: tuple) -> tuple:
+    """Row k+1 of the triangle from row k = prev: [k+1, m] = [k, m-1] + k * [k, m]."""
+    k = len(prev) - 1
+    return tuple(a + k * b for a, b in zip((0,) + prev, prev + (0,)))
+
+
+def _row(n: int) -> tuple:
+    """Row n, rolled up from row 0 keeping only the previous row."""
+    row = (1,)
+    for _ in range(n):
+        row = _next_row(row)
+    return row
+
+
+def _entry(row_of, n: int, m: int) -> int:
+    """[n, m] read from row_of(n) once n and m are checked; 0 off the triangle."""
+    _check_int(n, "n")
+    _check_int(m, "m")
+    if n < 0 or m < 0 or m > n:
+        return 0
+    return row_of(n)[m]
+
+
+def _signed(row: tuple) -> tuple:
+    """Row n signed by the parity of n - m."""
+    n = len(row) - 1
+    return tuple(-v if (n - m) % 2 else v for m, v in enumerate(row))
+
+
 class StirlingTable:
     """Memoized triangle of unsigned Stirling numbers of the first kind.
 
     Rows are built on demand and kept as long as the table, which its
-    caller owns, under a lock so concurrent fills stay consistent.  Whole
-    rows serve the stirling command and the factorial polynomials; through
-    unsigned_stirling1 the table is the reference that eulerchi._weights
-    (which builds no row) is tested against.
+    caller owns, under a lock so concurrent fills stay consistent.  The
+    stirling command reads every row of its table; a single entry or row
+    is rolled up without a table instead (unsigned_stirling1 and the
+    factorial polynomials), by the same step.
     """
 
     def __init__(self):
@@ -37,16 +66,10 @@ class StirlingTable:
             return
         with self._lock:
             while len(self._rows) <= n:
-                prev = self._rows[-1]
-                k = len(prev) - 1  # prev is row k: [k+1, m] = [k, m-1] + k * [k, m]
-                self._rows.append(tuple(a + k * b for a, b in zip((0,) + prev, prev + (0,))))
+                self._rows.append(_next_row(self._rows[-1]))
 
     def unsigned(self, n: int, m: int) -> int:
-        _check_int(n, "n")
-        _check_int(m, "m")
-        if n < 0 or m < 0 or m > n:
-            return 0
-        return self.row(n)[m]
+        return _entry(self.row, n, m)
 
     def signed(self, n: int, m: int) -> int:
         value = self.unsigned(n, m)
@@ -56,27 +79,23 @@ class StirlingTable:
         """The stored row [n, 0]..[n, n]; signed, a copy signed by the parity of n - m."""
         self.ensure_rows(n)
         row = self._rows[n]
-        if not signed:
-            return row
-        return tuple(-v if (n - m) % 2 else v for m, v in enumerate(row))
+        return _signed(row) if signed else row
 
 
 def unsigned_stirling1(n: int, m: int) -> int:
     """Unsigned Stirling number [n, m]; the reference eulerchi._weights is tested against.
 
-    Each call builds rows 0..n in a fresh table; to read many entries of
-    one row, read StirlingTable().row(n) once.
+    Each call rolls the triangle up to row n, keeping one row at a time:
+    O(n^2) steps and O(n) numbers held.  To read many entries of one row,
+    read StirlingTable().row(n) once.
     """
-    return StirlingTable().unsigned(n, m)
+    return _entry(_row, n, m)
 
 
 def signed_stirling1(n: int, m: int) -> int:
-    """Signed Stirling number s(n, m) = (-1)^(n-m) [n, m].
-
-    Each call builds rows 0..n in a fresh table; to read many entries of
-    one row, read StirlingTable().row(n, signed=True) once.
-    """
-    return StirlingTable().signed(n, m)
+    """Signed Stirling number s(n, m) = (-1)^(n-m) [n, m], rolled up as unsigned_stirling1 is."""
+    value = unsigned_stirling1(n, m)
+    return -value if (n - m) % 2 else value
 
 
 def rising_factorial_poly(n: int) -> Polynomial:
@@ -86,14 +105,14 @@ def rising_factorial_poly(n: int) -> Polynomial:
     enters the Euler-characteristic formula.
     """
     _check_int(n, "rising factorial length", 1)
-    row = StirlingTable().row(n + 1)
+    row = _row(n + 1)
     return Polynomial.from_terms([({AUX: k}, c) for k, c in enumerate(row[1:])])
 
 
 def falling_factorial_poly(n: int) -> Polynomial:
     """X(X-1)...(X-n+1) expanded in X; coefficients are the signed numbers."""
     _check_int(n, "falling factorial length", 1)
-    row = StirlingTable().row(n, signed=True)
+    row = _signed(_row(n))
     return Polynomial.from_terms([({AUX: k}, c) for k, c in enumerate(row)])
 
 

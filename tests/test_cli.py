@@ -178,7 +178,7 @@ def test_verify_failure_past_the_digit_limit_exits_1(monkeypatch, fmt):
     with N! * chi one too large, the untwisted witness at dim 320 is the
     count plus 1/320!, whose denominator has 665 digits."""
     real = oracle._chi_numerator
-    monkeypatch.setattr(oracle, "_chi_numerator", lambda cv, t=None: real(cv, t) + 1)
+    monkeypatch.setattr(oracle, "_chi_numerator", lambda weights, cv: real(weights, cv) + 1)
     argv = ["verify", "--dim", "320", "--rank", "1", "--trials", "1", "--twist-range", "0"]
     code, out = _main_at_digit_limit(640, argv + ["--format", fmt])
     assert code == 1

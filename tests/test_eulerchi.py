@@ -233,10 +233,10 @@ def test_chern_vector_rejects_bools():
 
 
 def test_power_sum_and_stirling_calls_keep_no_table():
-    """Power sums and Stirling numbers are built in a table the call drops:
-    once the results are gone, almost nothing they allocated is still held.
-    chi_polynomial, chi_twist_polynomial and _weights stay out, since their
-    caches are meant to keep results."""
+    """Power sums, Stirling numbers and chi's weights are built for the call
+    and dropped with it: once the results are gone, almost nothing they
+    allocated is still held.  chi_polynomial and chi_twist_polynomial stay
+    out, since their caches are meant to keep results."""
     calls = [
         lambda: power_sum_recursive(20),
         lambda: build_chi_polynomial(None, 16, "recursive"),
@@ -244,6 +244,8 @@ def test_power_sum_and_stirling_calls_keep_no_table():
         lambda: signed_stirling1(400, 2),
         lambda: rising_factorial_poly(200),
         lambda: falling_factorial_poly(200),
+        lambda: verify(100, 3, 3, 4, 1, 50),
+        lambda: evaluate_chi(SplitBundle(200, (4, -3, 7)).chern_vector(), 2),
     ]
     gc.collect()
     tracemalloc.start()
@@ -367,7 +369,7 @@ def test_evaluate_chi_is_the_integer_seam_over_n_factorial(rank):
             classes = tuple(rng.randint(-10**6, 10**6) for _ in range(dim))
             cv = ChernVector(dim, rank, classes)
             for twist in (None, 0, 1, -1, 5, -5, -dim - 3, 600, -600):
-                num = eulerchi._chi_numerator(cv, twist)
+                num = eulerchi._chi_numerator(eulerchi._weights(dim, twist or 0), cv)
                 assert type(num) is int
                 assert evaluate_chi(cv, twist) == Fraction(num, math.factorial(dim))
 
@@ -435,7 +437,8 @@ def test_chi_at_twists_0_to_n_recovers_the_chern_vector():
 def _integral_at(cv, twists) -> bool:
     """Whether chi(F(t)) is an integer at every t in twists."""
     scale = math.factorial(cv.dim)
-    return all(eulerchi._chi_numerator(cv, t) % scale == 0 for t in twists)
+    return all(eulerchi._chi_numerator(eulerchi._weights(cv.dim, t), cv) % scale == 0
+               for t in twists)
 
 
 def test_split_bundles_have_integral_hilbert_polynomials():

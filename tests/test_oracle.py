@@ -7,7 +7,8 @@ from itertools import chain
 import pytest
 
 import chipoly.oracle as oracle_mod
-from chipoly.eulerchi import evaluate_chi
+from chipoly import eulerchi
+from chipoly.eulerchi import _weights, evaluate_chi
 from chipoly.oracle import (
     Lcg,
     Mismatch,
@@ -158,9 +159,9 @@ def test_verify_reports_mismatch_with_witness(monkeypatch):
     # N! * chi, so chi + 1 at t = 2 is the integer seam plus N!
     real = oracle_mod._chi_numerator
 
-    def broken(cv, twist=None):
-        value = real(cv, twist)
-        if twist == 2:
+    def broken(weights, cv):
+        value = real(weights, cv)
+        if weights == _weights(cv.dim, 2):
             return value + math.factorial(cv.dim)
         return value
 
@@ -195,7 +196,7 @@ def test_verify_without_mismatch_builds_no_fraction(monkeypatch):
     assert made == []
     # The hook does see the Fraction a mismatch is reported with.
     real = oracle_mod._chi_numerator
-    monkeypatch.setattr(oracle_mod, "_chi_numerator", lambda cv, t=None: real(cv, t) + 1)
+    monkeypatch.setattr(oracle_mod, "_chi_numerator", lambda weights, cv: real(weights, cv) + 1)
     report = verify(dim=3, rank=2, trials=1, max_a=4, seed=91, twist_range=0)
     assert len(report.mismatches) == 2
     assert made and all(isinstance(m.actual, Fraction) for m in report.mismatches)
@@ -224,7 +225,7 @@ def _reference_verify(dim, rank, trials, max_a, seed, twist_range):
         degrees = tuple(rng.next_int(max_a + 1) for _ in range(rank))
         cv = SplitBundle(dim, degrees).chern_vector()
         for t in chain((None,), range(-twist_range, twist_range + 1)):
-            got = oracle_mod._chi_numerator(cv, t)
+            got = oracle_mod._chi_numerator(_weights(dim, t or 0), cv)
             want = sum(h0_line_bundle(dim, a + (t or 0)) for a in degrees)
             report.checks += 1
             if got != fact * want:
@@ -240,6 +241,10 @@ def _differential_cases():
             for max_a in (0, 4, 65535):
                 for seed in (1, 7, 2024):
                     yield dim, rank, 3, max_a, seed, dim + 2
+    # Trial counts on both sides of verify's blocks of 64, one to three blocks.
+    for dim, rank in ((1, 1), (3, 3), (7, 2), (12, 5)):
+        for trials in (63, 64, 65, 129):
+            yield dim, rank, trials, 4, 7, 2
 
 
 def test_verify_matches_the_reference_loop_byte_for_byte():
@@ -251,13 +256,19 @@ def test_verify_matches_the_reference_loop_byte_for_byte():
         assert got.to_json() == want.to_json(), case
 
 
+def _twist_of(weights) -> int:
+    """t from _weights(N, t): q_(N-1) = e_1(1 + t, ..., N + t) = N(N+1)/2 + N t."""
+    dim = len(weights) - 1
+    return (weights[-2] - dim * (dim + 1) // 2) // dim
+
+
 def test_verify_matches_the_reference_loop_under_a_fault(monkeypatch):
     real = oracle_mod._chi_numerator
 
-    def faulty(cv, twist=None):
+    def faulty(weights, cv):
         # Off by one at about a third of the checks, the untwisted ones included.
-        value = real(cv, twist)
-        return value + 1 if (sum(cv.classes) + (twist or 0)) % 3 == 0 else value
+        value = real(weights, cv)
+        return value + 1 if (sum(cv.classes) + _twist_of(weights)) % 3 == 0 else value
 
     monkeypatch.setattr(oracle_mod, "_chi_numerator", faulty)
     for case in _differential_cases():
@@ -269,6 +280,20 @@ def test_verify_matches_the_reference_loop_under_a_fault(monkeypatch):
         assert got.to_json() == want.to_json(), case
 
 
+def test_verify_computes_each_twists_weights_once_a_block(monkeypatch):
+    """130 trials are three blocks of at most 64, each walking 2R+2 twists:
+    one _weights (one elementary_values) per twist and block, however
+    large R is."""
+    calls = []
+    real = eulerchi.elementary_values
+    monkeypatch.setattr(eulerchi, "elementary_values",
+                        lambda values, count: calls.append(count) or real(values, count))
+    trials, twist_range = 130, 600
+    report = verify(6, 3, trials, 4, 1, twist_range)
+    assert report.ok and report.checks == trials * (2 * twist_range + 2)
+    assert len(calls) <= math.ceil(trials / 64) * (2 * twist_range + 2)
+
+
 def test_verify_streams_the_twist_window(monkeypatch):
     """--twist-range has no upper limit: the window is walked, never built."""
 
@@ -278,11 +303,11 @@ def test_verify_streams_the_twist_window(monkeypatch):
     real = oracle_mod._chi_numerator
     calls = []
 
-    def counted(cv, twist=None):
-        calls.append(twist)
+    def counted(weights, cv):
+        calls.append(weights)
         if len(calls) > 20:
             raise Enough
-        return real(cv, twist)
+        return real(weights, cv)
 
     monkeypatch.setattr(oracle_mod, "_chi_numerator", counted)
     tracemalloc.start()
@@ -292,5 +317,5 @@ def test_verify_streams_the_twist_window(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert calls[:3] == [None, -10**15, -10**15 + 1]
+    assert calls[:3] == [_weights(2, 0), _weights(2, -10**15), _weights(2, -10**15 + 1)]
     assert peak < 1 << 20

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,18 @@ def test_large_entries_stay_exact():
         assert expected.denominator == 1
         assert unsigned_stirling1(n, 2) == expected.numerator
     assert unsigned_stirling1(22, 2) > 2**64
+
+
+def test_single_entries_hold_one_row_at_a_time():
+    # Row 600 is about 0.3 MB; the triangle up to it would be about 50 MB.
+    tracemalloc.start()
+    try:
+        assert unsigned_stirling1(600, 1) == math.factorial(599)
+        assert signed_stirling1(600, 1) == -math.factorial(599)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_h0_line_bundle():
